@@ -7,7 +7,7 @@ import numpy as np
 
 from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project
 from sacpde.model import initial_datum, make_sigma
-from sacpde.stepper import SchemeConfig, run_trajectory
+from sacpde.stepper import FemBackend, SchemeConfig, run_trajectory
 
 N = 64
 J = 200
@@ -18,7 +18,7 @@ cfg = SchemeConfig(k=T / J, newton_tol=1e-12)
 y0 = l2_project(space, initial_datum("cos", 1.0))
 
 traj = run_trajectory(
-    space, make_sigma("zero"), cfg, y0, np.zeros(J), with_identity=True
+    FemBackend(space, make_sigma("zero")), cfg, y0, np.zeros(J), with_identity=True
 )
 
 print("step   time     energy      gradient    potential")
@@ -33,7 +33,7 @@ for j in range(0, J + 1, 20):
         )
 
 increases = np.diff(traj.energies)
-worst_resid = max(r["identity_residual"] for r in traj.diagnostics)
+worst_resid = max(check.residual for check in traj.identity)
 print()
 print("monotone decay: %s (max step change %.3e)" % (np.all(increases <= 0), increases.max()))
 print("worst identity residual: %.3e (contract 1e-10)" % worst_resid)

@@ -48,16 +48,16 @@ from .model import (
 from .quadrature import monomial_integral, simplex_rule, vertex_rule
 from .reports import VERSION, config_hash, json17, write_csv, write_json
 from .spectral import (
+    SpectralBackend,
     SpectralField,
     SpectralSpace,
     evaluate_on_mesh,
-    run_spectral_trajectory,
     spectral_energy,
     spectral_energy_identity_residual,
     spectral_project,
-    spectral_step,
 )
 from .stepper import (
+    FemBackend,
     IdentityCheck,
     SchemeConfig,
     Trajectory,
@@ -115,14 +115,14 @@ __all__ = [
     "json17",
     "write_csv",
     "write_json",
+    "SpectralBackend",
     "SpectralField",
     "SpectralSpace",
     "evaluate_on_mesh",
-    "run_spectral_trajectory",
     "spectral_energy",
     "spectral_energy_identity_residual",
     "spectral_project",
-    "spectral_step",
+    "FemBackend",
     "IdentityCheck",
     "SchemeConfig",
     "Trajectory",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SolverError, ValidationError
 from .harness import (
+    STUDY_KINDS,
     ExperimentPlan,
     StudyResult,
     identity_suite,
@@ -28,8 +29,6 @@ from .harness import (
     spatial_rate_study,
     temporal_rate_study,
 )
-from .mesh_fem import FemSpace, PeriodicMesh, l2_project
-from .model import energy
 from .reports import (
     VERSION,
     config_echo_text,
@@ -38,11 +37,8 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .spectral import SpectralSpace, run_spectral_trajectory, spectral_energy, spectral_project
-from .stepper import IDENTITY_ATOL, IDENTITY_RTOL, run_trajectory
+from .stepper import run_trajectory
 from .stochastic import sample_path
-
-KINDS = ("simulate", "rate-time", "rate-space", "moments", "increments", "check")
 
 # name -> (type tag, help); applicability is ALL kinds (harness validation
 # rejects combinations that make no sense for a kind).
@@ -74,7 +70,6 @@ SCHEMA = {
     "path_index": ("int", "which path simulate integrates"),
     "record_stride": ("int", "retain every record_stride-th state (simulate)"),
     "with_identity": ("bool", "record the per-step energy-identity residual (simulate)"),
-    "threads": ("int", "worker threads (partitions paths; reports are byte-identical)"),
 }
 
 # The studies default to the 2*pi torus: there the `cos` preset is the
@@ -208,24 +203,8 @@ def build_plan(kind, config_path=None, flag_values=None, environ=None):
 
 # -- simulate -------------------------------------------------------------------
 
-_FEM_DIAG_KEYS = (
-    "j",
-    "t",
-    "energy_total",
-    "gradient_part",
-    "potential_part",
-    "increment_l2",
-    "newton_iters",
-    "residual_norm",
-    "damping_halvings",
-    "picard_fallbacks",
-)
-_SPECTRAL_DIAG_KEYS = _FEM_DIAG_KEYS[:8]
-_IDENTITY_KEYS = ("identity_residual", "identity_lhs")
-
 
 def run_simulate(plan):
-    x0 = plan.x0_callable()
     sigma = plan.make_sigma()
     cfg = plan.scheme_config(plan.T / plan.J)
     if sigma.is_zero:
@@ -233,36 +212,20 @@ def run_simulate(plan):
     else:
         increments = sample_path(plan.seed, plan.path_index, plan.T, plan.J).increments
 
-    if plan.solver == "spectral":
-        space = SpectralSpace(plan.R, plan.spectral_modes, plan.spectral_pad)
-        y0 = spectral_project(space, x0)
-        traj = run_spectral_trajectory(
-            space, sigma, cfg, y0, increments,
-            record_stride=plan.record_stride, with_identity=plan.with_identity,
-        )
-        terminal = spectral_energy(space, traj.terminal.coeffs)
-        keys = _SPECTRAL_DIAG_KEYS
-    else:
-        space = FemSpace(PeriodicMesh(plan.d, plan.R, plan.n), plan.quad_degree, plan.lumped)
-        y0 = l2_project(space, x0)
-        traj = run_trajectory(
-            space, sigma, cfg, y0, increments,
-            record_stride=plan.record_stride, with_identity=plan.with_identity,
-        )
-        terminal = energy(space, traj.terminal)
-        keys = _FEM_DIAG_KEYS
-    if plan.with_identity:
-        keys = keys + _IDENTITY_KEYS
-
+    backend = plan.backend(sigma)
+    traj = run_trajectory(
+        backend, cfg, backend.initial(plan.x0_callable()), increments,
+        record_stride=plan.record_stride, with_identity=plan.with_identity,
+    )
     report = {
         "kind": "simulate",
         "seed": plan.seed,
         "solver": plan.solver,
-        "space": space.metadata(),
+        "space": backend.metadata(),
         "steps": plan.J,
         "k": cfg.k,
         "energy_initial": float(traj.energies[0]),
-        "energy_terminal": terminal.as_dict(),
+        "energy_terminal": backend.energy(traj.terminal).as_dict(),
         "energy_max": float(traj.energies.max()),
         "energy_min": float(traj.energies.min()),
         "config": plan.config_dict(),
@@ -272,17 +235,13 @@ def run_simulate(plan):
         },
     }
     if plan.with_identity:
-        residuals = np.array([row["identity_residual"] for row in traj.diagnostics])
-        thresholds = np.array(
-            [
-                max(IDENTITY_ATOL, IDENTITY_RTOL * abs(row["identity_lhs"]))
-                for row in traj.diagnostics
-            ]
-        )
         report["identity"] = {
-            "max_residual": float(residuals.max()),
-            "passed": bool((residuals <= thresholds).all()),
+            "max_residual": max(check.residual for check in traj.identity),
+            "passed": all(check.passed for check in traj.identity),
         }
+    # every row carries the same columns, in order: time and energy split,
+    # increment norm, the backend's step counters, then the identity terms
+    keys = tuple(traj.diagnostics[0])
     rows = [tuple(row[k] for k in keys) for row in traj.diagnostics]
     return StudyResult(report, csv_name="diagnostics.csv", csv_header=keys, csv_rows=rows)
 
@@ -377,7 +336,7 @@ def build_parser():
         "increments": "mean-square time increments at an anchor time",
         "check": "run the exactness and coupling checks",
     }
-    for kind in KINDS:
+    for kind in STUDY_KINDS:
         p = sub.add_parser(kind, help=briefs[kind])
         p.add_argument("--config", metavar="FILE", help="flat key = value settings file")
         p.add_argument(

@@ -3,38 +3,31 @@
 All studies couple their levels through shared Brownian paths: coarse runs
 see pairwise sums of the same fine increments (checked bit-exactly before
 each run), so level differences estimate discretisation error rather than
-noise.  Paths are the unit of parallelism; `threads` only partitions the
-path set, and because each path's arithmetic is row-local the merged
-reports are byte-identical for every thread count.
+noise.  Every study is written once against the batched step contract of
+stepper.FemBackend and spectral.SpectralBackend.  Path i draws its noise
+from the key (seed, i) and each path's arithmetic is row-local, so a path's
+numbers do not depend on how many other paths run beside it.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import ContractError, ValidationError
 from .mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
 from .model import initial_datum, make_sigma
+from .quadrature import simplex_rule
 from .reports import VERSION, config_hash
-from .spectral import (
-    SpectralSpace,
-    run_spectral_trajectory,
-    spectral_energy_identity_residual,
-    spectral_project,
-    step_batch,
-)
-from .stepper import (
-    IDENTITY_ATOL,
-    IDENTITY_RTOL,
-    SchemeConfig,
-    energy_identity_residual,
-    run_trajectory,
-    step,
-)
+from .spectral import SpectralBackend, SpectralSpace
+from .stepper import FemBackend, SchemeConfig, run_trajectory
 from .stochastic import coarsen, mc_accumulate, sample_path, total_displacement
 from . import model
+
+# Not called here (the backends step), but perfbench/layers.py patches
+# these names in this module, so they stay bound.
+from .spectral import step_batch  # noqa: F401
+from .stepper import step  # noqa: F401
 
 STUDY_KINDS = ("simulate", "rate-time", "rate-space", "moments", "increments", "check")
 
@@ -71,7 +64,6 @@ class ExperimentPlan:
     path_index: int = 0
     record_stride: int = 0
     with_identity: bool = False
-    threads: int = 1
 
     def validate(self):
         bad = []
@@ -79,10 +71,18 @@ class ExperimentPlan:
             bad.append(f"kind must be one of {STUDY_KINDS} (got {self.kind!r})")
         if self.d not in (1, 2, 3):
             bad.append(f"d must be 1, 2 or 3 (got {self.d})")
+        elif not self.lumped:
+            self._collect(bad, simplex_rule, self.d, self.quad_degree)
+        if not (np.isfinite(self.R) and self.R > 0):
+            bad.append(f"R must be a positive real number (got {self.R})")
         if not self.T > 0:
             bad.append(f"T must be positive (got {self.T})")
         if self.J < 1:
             bad.append(f"J must be >= 1 (got {self.J})")
+        if self.j_fine < 1:
+            bad.append(f"j_fine must be >= 1 (got {self.j_fine})")
+        if self.n < 2:
+            bad.append(f"n must be >= 2 (got {self.n})")
         if self.seed < 0:
             bad.append(f"seed must be nonnegative (got {self.seed})")
         if self.n_paths < 1:
@@ -94,12 +94,30 @@ class ExperimentPlan:
             "increments",
         ):
             bad.append(f"{self.kind} statistics need n_paths >= 2 (got {self.n_paths})")
-        if self.threads < 1:
-            bad.append(f"threads must be >= 1 (got {self.threads})")
         if self.solver not in ("spectral", "fem"):
             bad.append(f"solver must be spectral or fem (got {self.solver!r})")
         if self.solver == "spectral" and self.d != 1:
             bad.append("the spectral solver supports d=1 only")
+        if self.solver == "spectral" and self.kind in ("rate-space", "moments"):
+            bad.append(f"{self.kind} runs on the element solver only (got solver='spectral')")
+        if self.spectral_modes < 1:
+            bad.append(f"spectral_modes must be >= 1 (got {self.spectral_modes})")
+        if not self.spectral_pad >= 1.5:
+            bad.append(f"spectral_pad must be >= 1.5 (got {self.spectral_pad})")
+        if not self.newton_tol > 0:
+            bad.append(f"newton_tol must be positive (got {self.newton_tol})")
+        if self.newton_max_iter < 1:
+            bad.append(f"newton_max_iter must be >= 1 (got {self.newton_max_iter})")
+        if self.damping < 0:
+            bad.append(f"damping must be >= 0 (got {self.damping})")
+        if self.T > 0:
+            for steps in dict.fromkeys(self._step_counts()):
+                if steps >= 1 and not self.T / steps < 1.0:
+                    bad.append(
+                        f"time step T/{steps} = {self.T / steps} must be below 1"
+                    )
+        self._collect(bad, self.make_sigma)
+        self._collect(bad, self.x0_callable)
         if self.path_index < 0:
             bad.append(f"path_index must be nonnegative (got {self.path_index})")
         if self.record_stride < 0:
@@ -194,9 +212,26 @@ class ExperimentPlan:
                 f"t_anchor + max(tau) = {self.t_anchor + max(self.taus)} exceeds T = {self.T}"
             )
 
+    @staticmethod
+    def _collect(bad, build, *args):
+        """Run a constructor for its argument checks, collecting its complaint."""
+        try:
+            build(*args)
+        except ValidationError as exc:
+            bad.append(str(exc))
+
+    def _step_counts(self):
+        """The number of steps over [0, T] of every time grid the study uses."""
+        if self.kind == "rate-time":
+            return [self.j_fine, *self.levels]
+        if self.kind == "increments":
+            return [self.j_fine]
+        if self.kind == "moments":
+            return [pair[0] for pair in self.levels if len(pair) == 2]
+        return [self.J]
+
     def config_dict(self):
         cfg = asdict(self)
-        cfg.pop("threads")  # execution detail; must not affect report bytes
         cfg["levels"] = [list(L) if isinstance(L, (tuple, list)) else int(L) for L in self.levels]
         cfg["taus"] = [float(x) for x in self.taus]
         return cfg
@@ -209,6 +244,21 @@ class ExperimentPlan:
 
     def x0_callable(self):
         return initial_datum(self.x0, self.R, self.x0_width)
+
+    def fem_backend(self, sigma, n=None):
+        """Element discretization on the plan's torus with n cells per axis."""
+        mesh = PeriodicMesh(self.d, self.R, self.n if n is None else int(n))
+        return FemBackend(FemSpace(mesh, self.quad_degree, self.lumped), sigma)
+
+    def spectral_backend(self, sigma, modes=None):
+        modes = self.spectral_modes if modes is None else modes
+        return SpectralBackend(SpectralSpace(self.R, modes, self.spectral_pad), sigma)
+
+    def backend(self, sigma):
+        """The discretization the plan's `solver` selects."""
+        if self.solver == "spectral":
+            return self.spectral_backend(sigma)
+        return self.fem_backend(sigma)
 
 
 class StudyResult:
@@ -241,22 +291,8 @@ def fit_loglog(xs, ys):
         resid = ly - A @ coef
         sxx = float(((lx - lx.mean()) ** 2).sum())
         se = np.sqrt((resid @ resid) / (n - 2) / sxx)
-        out["ci95_halfwidth"] = float(student_t.ppf(0.975, n - 2) * se)
+        out["ci95_halfwidth"] = float(stdtrit(n - 2, 0.975) * se)
     return out
-
-
-def _chunk_indices(n_paths, threads):
-    if threads <= 1 or n_paths <= 1:
-        return [np.arange(n_paths)]
-    parts = min(threads, n_paths)
-    return [c for c in np.array_split(np.arange(n_paths), parts) if len(c)]
-
-
-def _map_chunks(fn, chunks, threads):
-    if threads <= 1 or len(chunks) == 1:
-        return [fn(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
 
 
 def _coupling_check(path, factors):
@@ -284,10 +320,6 @@ def _report_base(plan, extra):
     }
     report.update(extra)
     return report
-
-
-def _stats_block(stats):
-    return stats.as_dict()
 
 
 def _exclude_noise_floor(levels_sorted_fine_last, stats_l2):
@@ -321,286 +353,166 @@ def _sup_of_mean(errs_by_time):
     return {"value": float(mean_t[j_star]), "argmax_j": j_star}
 
 
-# -- temporal rate ------------------------------------------------------------
+# -- strong rates ---------------------------------------------------------------
 
 
-def temporal_rate_study(plan):
-    plan.validate()
-    if plan.kind != "rate-time":
-        raise ValidationError(f"temporal_rate_study got plan kind {plan.kind!r}")
+class _Level:
+    """One coupled level: its backend and scheme config, the reference steps
+    per level step, and the map of its states into the reference space
+    (None: the same space)."""
+
+    def __init__(self, backend, cfg, factor, lift=None):
+        self.backend = backend
+        self.cfg = cfg
+        self.factor = factor
+        self.lift = lift
+
+    def lifted(self, C):
+        if self.lift is None:
+            return C
+        return np.array([self.lift @ c for c in C])
+
+
+def _coupled_errors(plan, ref, ref_cfg, j_ref, levels):
+    """Per-path errors of every level against the coupled reference.
+
+    All paths advance together: the reference takes each of its j_ref steps,
+    and a level of factor f takes one step, on the pairwise sum of the same
+    f fine increments, every f reference steps; its error against the
+    reference is measured right away, in the reference's norms.  Returns,
+    per level, the (P,) sup over time of the squared L2 error, the (P,)
+    k-weighted sum of squared H1 errors and the (P, J_level + 1) squared L2
+    error at every time.
+    """
     x0 = plan.x0_callable()
-    sigma = plan.make_sigma()
-    if plan.solver == "spectral":
-        space = SpectralSpace(plan.R, plan.spectral_modes, plan.spectral_pad)
-        state0 = spectral_project(space, x0).coeffs
-        worker = lambda chunk: _temporal_spectral_chunk(plan, space, sigma, state0, chunk)
-        space_md = space.metadata()
-    else:
-        mesh = PeriodicMesh(plan.d, plan.R, plan.n)
-        space = FemSpace(mesh, plan.quad_degree, plan.lumped)
-        state0 = l2_project(space, x0).coeffs
-        worker = lambda chunk: _temporal_fem_chunk(plan, space, sigma, state0, chunk)
-        space_md = space.metadata()
+    P = plan.n_paths
+    paths = [sample_path(plan.seed, i, plan.T, j_ref) for i in range(P)]
+    for path in paths:
+        _coupling_check(path, [lv.factor for lv in levels])
+    dw = np.stack([path.increments for path in paths])
+    C = np.tile(ref.initial(x0), (P, 1))
 
-    chunks = _chunk_indices(plan.n_paths, plan.threads)
-    partials = _map_chunks(worker, chunks, plan.threads)
+    states, incs, by_time, sum_h1 = [], [], [], []
+    for lv in levels:
+        states.append(np.tile(lv.backend.initial(x0), (P, 1)))
+        incs.append(np.stack([coarsen(path, lv.factor).increments for path in paths]))
+        by_time.append(np.zeros((P, j_ref // lv.factor + 1)))
+        by_time[-1][:, 0] = ref.l2_sq(lv.lifted(states[-1]) - C)
+        sum_h1.append(np.zeros(P))
+    sup_l2 = [err[:, 0].copy() for err in by_time]
 
-    rows = []
-    level_entries = []
-    stats_l2 = {}
-    means_h1 = {}
-    for L in plan.levels:
-        maxsq = np.concatenate([p[L][0] for p in partials])
-        h1sum = np.concatenate([p[L][1] for p in partials])
-        by_time = np.concatenate([p[L][2] for p in partials], axis=0)
-        st_l2 = mc_accumulate(maxsq)
-        st_h1 = mc_accumulate(h1sum)
-        stats_l2[L] = st_l2
-        means_h1[L] = st_h1
-        k = plan.T / L
-        level_entries.append(
-            {
-                "J": int(L),
-                "k": k,
-                "sup_l2_sq": _stats_block(st_l2),
-                "sum_h1_sq": _stats_block(st_h1),
-                "sup_of_mean_l2_sq": _sup_of_mean(by_time),
-            }
-        )
-        for idx in range(plan.n_paths):
-            rows.append((int(L), k, idx, maxsq[idx], h1sum[idx]))
-
-    excluded = _exclude_noise_floor(list(plan.levels), stats_l2)
-    fit_levels = [L for L in plan.levels if L not in excluded]
-    ks = [plan.T / L for L in fit_levels]
-    slope_l2 = fit_loglog(ks, [stats_l2[L].mean for L in fit_levels])
-    slope_h1 = fit_loglog(ks, [means_h1[L].mean for L in fit_levels])
-    warnings = _refinement_warnings(
-        [f"J={L}" for L in plan.levels], [stats_l2[L] for L in plan.levels], "sup_l2_sq"
-    )
-
-    report = _report_base(
-        plan,
-        {
-            "parameter": "k",
-            "solver": plan.solver,
-            "space": space_md,
-            "levels": level_entries,
-            "excluded_levels": [int(L) for L in excluded],
-            "slope_l2": slope_l2,
-            "slope_h1": slope_h1,
-            "warnings": warnings,
-        },
-    )
-    return StudyResult(
-        report,
-        csv_name="errors.csv",
-        csv_header=("level_J", "k", "path_index", "sup_l2_sq", "sum_h1_sq"),
-        csv_rows=rows,
-    )
+    for j in range(1, j_ref + 1):
+        C, _ = ref.step(C, dw[:, j - 1], ref_cfg)
+        for i, lv in enumerate(levels):
+            if j % lv.factor:
+                continue
+            jl = j // lv.factor
+            states[i], _ = lv.backend.step(states[i], incs[i][:, jl - 1], lv.cfg)
+            diff = lv.lifted(states[i]) - C
+            by_time[i][:, jl] = ref.l2_sq(diff)
+            np.maximum(sup_l2[i], by_time[i][:, jl], out=sup_l2[i])
+            sum_h1[i] += ref.h1_sq(diff)
+    return [
+        (sup, lv.cfg.k * h1, err)
+        for lv, sup, h1, err in zip(levels, sup_l2, sum_h1, by_time)
+    ]
 
 
-def _temporal_spectral_chunk(plan, space, sigma, state0, chunk):
-    factors = [plan.j_fine // int(L) for L in plan.levels]
-    paths = [sample_path(plan.seed, int(i), plan.T, plan.j_fine) for i in chunk]
-    for p in paths:
-        _coupling_check(p, factors)
-    inc = np.stack([p.increments for p in paths])
-    P = len(paths)
-    J_cmp = max(plan.levels)
-    stride = plan.j_fine // J_cmp
+def _rate_result(plan, level_key, param, xs, errors, extra):
+    """Statistics, log-log fits and CSV rows of a coupled rate study.
 
-    cfg = plan.scheme_config(plan.T / plan.j_fine)
-    C = np.tile(state0, (P, 1))
-    refs = np.empty((J_cmp + 1, P, space.coeff_count), dtype=complex)
-    refs[0] = C
-    for j in range(1, plan.j_fine + 1):
-        C, _, _ = step_batch(space, sigma, cfg, C, inc[:, j - 1])
-        if j % stride == 0:
-            refs[j // stride] = C
-
-    out = {}
-    for L, f in zip(plan.levels, factors):
-        incL = np.stack([coarsen(p, f).increments for p in paths])
-        cfgL = plan.scheme_config(plan.T / L)
-        Cc = np.tile(state0, (P, 1))
-        cmp_stride = J_cmp // L
-        maxsq = np.zeros(P)
-        h1sum = np.zeros(P)
-        by_time = np.zeros((P, int(L) + 1))
-        for j in range(1, int(L) + 1):
-            Cc, _, _ = step_batch(space, sigma, cfgL, Cc, incL[:, j - 1])
-            diff = Cc - refs[j * cmp_stride]
-            l2sq = space.l2_norm(diff) ** 2
-            by_time[:, j] = l2sq
-            np.maximum(maxsq, l2sq, out=maxsq)
-            h1sum += space.h1_seminorm(diff) ** 2
-        out[L] = (maxsq, (plan.T / L) * h1sum, by_time)
-    return out
-
-
-def _temporal_fem_chunk(plan, space, sigma, state0, chunk):
-    M, A = space.mass, space.stiffness
-    factors = [plan.j_fine // int(L) for L in plan.levels]
-    J_cmp = max(plan.levels)
-    stride = plan.j_fine // J_cmp
-    out = {
-        L: (
-            np.zeros(len(chunk)),
-            np.zeros(len(chunk)),
-            np.zeros((len(chunk), int(L) + 1)),
-        )
-        for L in plan.levels
-    }
-    for pos, i in enumerate(chunk):
-        path = sample_path(plan.seed, int(i), plan.T, plan.j_fine)
-        _coupling_check(path, factors)
-        cfg = plan.scheme_config(plan.T / plan.j_fine)
-        y = state0.copy()
-        refs = np.empty((J_cmp + 1, len(state0)))
-        refs[0] = y
-        for j in range(1, plan.j_fine + 1):
-            y, _ = step(space, sigma, cfg, y, path.increments[j - 1])
-            if j % stride == 0:
-                refs[j // stride] = y
-        for L, f in zip(plan.levels, factors):
-            incL = coarsen(path, f).increments
-            cfgL = plan.scheme_config(plan.T / L)
-            yc = state0.copy()
-            cmp_stride = J_cmp // L
-            maxsq = 0.0
-            h1sum = 0.0
-            for j in range(1, int(L) + 1):
-                yc, _ = step(space, sigma, cfgL, yc, incL[j - 1])
-                diff = yc - refs[j * cmp_stride]
-                l2sq = diff @ (M @ diff)
-                out[L][2][pos, j] = l2sq
-                maxsq = max(maxsq, l2sq)
-                h1sum += diff @ (A @ diff)
-            out[L][0][pos] = maxsq
-            out[L][1][pos] = (plan.T / L) * h1sum
-    return out
-
-
-# -- spatial rate --------------------------------------------------------------
-
-
-def spatial_rate_study(plan):
-    plan.validate()
-    if plan.kind != "rate-space":
-        raise ValidationError(f"spatial_rate_study got plan kind {plan.kind!r}")
-    x0 = plan.x0_callable()
-    sigma = plan.make_sigma()
-    k = plan.T / plan.J
-    cfg = plan.scheme_config(k)
-
-    ref_space = FemSpace(PeriodicMesh(plan.d, plan.R, plan.reference), plan.quad_degree, plan.lumped)
-    spaces = {
-        n: FemSpace(PeriodicMesh(plan.d, plan.R, int(n)), plan.quad_degree, plan.lumped)
-        for n in plan.levels
-    }
-    prolongs = {n: prolongation_matrix(spaces[n].mesh, ref_space.mesh) for n in plan.levels}
-    y0 = {n: l2_project(spaces[n], x0).coeffs for n in plan.levels}
-    y0_ref = l2_project(ref_space, x0).coeffs
-
-    def worker(chunk):
-        out = {
-            n: (
-                np.zeros(len(chunk)),
-                np.zeros(len(chunk)),
-                np.zeros((len(chunk), plan.J + 1)),
-            )
-            for n in plan.levels
-        }
-        Mr, Ar = ref_space.mass, ref_space.stiffness
-        for pos, i in enumerate(chunk):
-            path = sample_path(plan.seed, int(i), plan.T, plan.J)
-            _coupling_check(path, [1])
-            y = y0_ref.copy()
-            refs = np.empty((plan.J + 1, len(y)))
-            refs[0] = y
-            for j in range(1, plan.J + 1):
-                y, _ = step(ref_space, sigma, cfg, y, path.increments[j - 1])
-                refs[j] = y
-            for n in plan.levels:
-                P = prolongs[n]
-                yc = y0[n].copy()
-                d0 = P @ yc - refs[0]
-                out[n][2][pos, 0] = d0 @ (Mr @ d0)
-                maxsq = float(out[n][2][pos, 0])
-                h1sum = 0.0
-                for j in range(1, plan.J + 1):
-                    yc, _ = step(spaces[n], sigma, cfg, yc, path.increments[j - 1])
-                    diff = P @ yc - refs[j]
-                    l2sq = diff @ (Mr @ diff)
-                    out[n][2][pos, j] = l2sq
-                    maxsq = max(maxsq, l2sq)
-                    h1sum += diff @ (Ar @ diff)
-                out[n][0][pos] = maxsq
-                out[n][1][pos] = k * h1sum
-        return out
-
-    chunks = _chunk_indices(plan.n_paths, plan.threads)
-    partials = _map_chunks(worker, chunks, plan.threads)
-
+    level_key names the level resolution (J or n), param the discretization
+    parameter the fit runs in (k or h), with xs its value per level.
+    """
     rows = []
     level_entries = []
     stats_l2 = {}
     stats_h1 = {}
-    for n in plan.levels:
-        maxsq = np.concatenate([p[n][0] for p in partials])
-        h1sum = np.concatenate([p[n][1] for p in partials])
-        by_time = np.concatenate([p[n][2] for p in partials], axis=0)
-        stats_l2[n] = mc_accumulate(maxsq)
-        stats_h1[n] = mc_accumulate(h1sum)
-        h = plan.R / n
+    for L, x, (sup_l2, sum_h1, by_time) in zip(plan.levels, xs, errors):
+        stats_l2[L] = mc_accumulate(sup_l2)
+        stats_h1[L] = mc_accumulate(sum_h1)
         level_entries.append(
             {
-                "n": int(n),
-                "h": h,
-                "sup_l2_sq": _stats_block(stats_l2[n]),
-                "sum_h1_sq": _stats_block(stats_h1[n]),
+                level_key: int(L),
+                param: x,
+                "sup_l2_sq": stats_l2[L].as_dict(),
+                "sum_h1_sq": stats_h1[L].as_dict(),
                 "sup_of_mean_l2_sq": _sup_of_mean(by_time),
             }
         )
         for idx in range(plan.n_paths):
-            rows.append((int(n), h, idx, maxsq[idx], h1sum[idx]))
+            rows.append((int(L), x, idx, sup_l2[idx], sum_h1[idx]))
 
     excluded = _exclude_noise_floor(list(plan.levels), stats_l2)
-    fit_levels = [n for n in plan.levels if n not in excluded]
-    hs = [plan.R / n for n in fit_levels]
-    slope_l2 = fit_loglog(hs, [stats_l2[n].mean for n in fit_levels])
-    slope_h1 = fit_loglog(hs, [stats_h1[n].mean for n in fit_levels])
+    fit = [(L, x) for L, x in zip(plan.levels, xs) if L not in excluded]
+    slope_l2 = fit_loglog([x for _, x in fit], [stats_l2[L].mean for L, _ in fit])
+    slope_h1 = fit_loglog([x for _, x in fit], [stats_h1[L].mean for L, _ in fit])
     warnings = _refinement_warnings(
-        [f"n={n}" for n in plan.levels], [stats_l2[n] for n in plan.levels], "sup_l2_sq"
+        [f"{level_key}={L}" for L in plan.levels],
+        [stats_l2[L] for L in plan.levels],
+        "sup_l2_sq",
     )
-    # The theory guarantees squared-error slope 2; piecewise-linear elements on
-    # uniform meshes often beat it, which is worth surfacing but is not a defect.
-    if slope_l2 is not None and slope_l2["slope"] > 2.5:
+    # The theory guarantees squared-error slope 2 in h; piecewise-linear
+    # elements on uniform meshes often beat it, which is worth surfacing but
+    # is not a defect.
+    if param == "h" and slope_l2 is not None and slope_l2["slope"] > 2.5:
         warnings.append(
             "superconvergence: observed squared-error slope "
             f"{slope_l2['slope']:.3g} exceeds the guaranteed h^2 bound"
         )
 
-    report = _report_base(
-        plan,
-        {
-            "parameter": "h",
-            "solver": "fem",
-            "space": ref_space.metadata(),
-            "k": k,
-            "levels": level_entries,
-            "excluded_levels": [int(n) for n in excluded],
-            "slope_l2": slope_l2,
-            "slope_h1": slope_h1,
-            "warnings": warnings,
-        },
+    extra = dict(
+        extra,
+        parameter=param,
+        solver=plan.solver,
+        levels=level_entries,
+        excluded_levels=[int(L) for L in excluded],
+        slope_l2=slope_l2,
+        slope_h1=slope_h1,
+        warnings=warnings,
     )
     return StudyResult(
-        report,
+        _report_base(plan, extra),
         csv_name="errors.csv",
-        csv_header=("level_n", "h", "path_index", "sup_l2_sq", "sum_h1_sq"),
+        csv_header=(f"level_{level_key}", param, "path_index", "sup_l2_sq", "sum_h1_sq"),
         csv_rows=rows,
+    )
+
+
+def temporal_rate_study(plan):
+    """Strong error in the time step k = T/J against the j_fine reference."""
+    plan.validate()
+    if plan.kind != "rate-time":
+        raise ValidationError(f"temporal_rate_study got plan kind {plan.kind!r}")
+    backend = plan.backend(plan.make_sigma())
+    levels = [
+        _Level(backend, plan.scheme_config(plan.T / L), plan.j_fine // int(L))
+        for L in plan.levels
+    ]
+    errors = _coupled_errors(
+        plan, backend, plan.scheme_config(plan.T / plan.j_fine), plan.j_fine, levels
+    )
+    ks = [plan.T / L for L in plan.levels]
+    return _rate_result(plan, "J", "k", ks, errors, {"space": backend.metadata()})
+
+
+def spatial_rate_study(plan):
+    """Strong error in the mesh width h = R/n against the reference mesh."""
+    plan.validate()
+    if plan.kind != "rate-space":
+        raise ValidationError(f"spatial_rate_study got plan kind {plan.kind!r}")
+    sigma = plan.make_sigma()
+    cfg = plan.scheme_config(plan.T / plan.J)
+    ref = plan.fem_backend(sigma, plan.reference)
+    levels = []
+    for n in plan.levels:
+        coarse = plan.fem_backend(sigma, n)
+        lift = prolongation_matrix(coarse.space.mesh, ref.space.mesh)
+        levels.append(_Level(coarse, cfg, 1, lift))
+    errors = _coupled_errors(plan, ref, cfg, plan.J, levels)
+    hs = [plan.R / n for n in plan.levels]
+    return _rate_result(
+        plan, "n", "h", hs, errors, {"space": ref.metadata(), "k": cfg.k}
     )
 
 
@@ -621,22 +533,18 @@ def moment_study(plan):
     rows = []
     for J, n in plan.levels:
         J, n = int(J), int(n)
-        space = FemSpace(PeriodicMesh(plan.d, plan.R, n), plan.quad_degree, plan.lumped)
-        y0 = l2_project(space, x0).coeffs
+        backend = plan.fem_backend(sigma, n)
+        y0 = backend.initial(x0)
         k = plan.T / J
         cfg = plan.scheme_config(k)
-
-        def worker(chunk, space=space, y0=y0, cfg=cfg, J=J):
-            energies = np.empty((len(chunk), J + 1))
-            for pos, i in enumerate(chunk):
-                path = sample_path(plan.seed, int(i), plan.T, J)
-                traj = run_trajectory(space, sigma, cfg, space_field(space, y0), path.increments)
-                energies[pos] = traj.energies
-            return energies
-
-        chunks = _chunk_indices(plan.n_paths, plan.threads)
-        partials = _map_chunks(worker, chunks, plan.threads)
-        energies = np.concatenate(partials, axis=0)
+        energies = np.array(
+            [
+                run_trajectory(
+                    backend, cfg, y0, sample_path(plan.seed, i, plan.T, J).increments
+                ).energies
+                for i in range(plan.n_paths)
+            ]
+        )
 
         entry = {"J": J, "n": n, "k": k, "moments": {}}
         for p in MOMENT_POWERS:
@@ -644,7 +552,7 @@ def moment_study(plan):
             mean_over_paths = powered.mean(axis=0)
             j_star = int(np.argmax(mean_over_paths))
             st = mc_accumulate(powered[:, j_star])
-            block = _stats_block(st)
+            block = st.as_dict()
             block["argmax_j"] = j_star
             entry["moments"][f"p{p}"] = block
             rows.append((J, n, p, j_star, st.mean, st.se, st.ci95[0], st.ci95[1]))
@@ -679,12 +587,6 @@ def moment_study(plan):
     )
 
 
-def space_field(space, coeffs):
-    from .mesh_fem import Field
-
-    return Field(space, coeffs.copy())
-
-
 # -- increments ----------------------------------------------------------------
 
 
@@ -707,8 +609,6 @@ def increment_study(plan):
     if plan.kind != "increments":
         raise ValidationError(f"increment_study got plan kind {plan.kind!r}")
     x0 = plan.x0_callable()
-    space = SpectralSpace(plan.R, plan.spectral_modes, plan.spectral_pad)
-    state0 = spectral_project(space, x0).coeffs
     k = plan.T / plan.j_fine
     cfg = plan.scheme_config(k)
 
@@ -718,31 +618,21 @@ def increment_study(plan):
     last_idx = anchor_idx + max(tau_steps)
     wanted = {anchor_idx} | {anchor_idx + s for s in tau_steps}
 
-    def sweep(sigma, path_indices):
-        """Per-tau squared-increment samples, keyed by step offset."""
+    def sweep(backend, n_paths):
+        """Squared increments of paths 0..n_paths-1, keyed by tau's step count."""
+        paths = [sample_path(plan.seed, i, plan.T, plan.j_fine) for i in range(n_paths)]
+        inc = np.stack([p.increments for p in paths])
+        C = np.tile(backend.initial(x0), (n_paths, 1))
+        snaps = {0: C}
+        for j in range(1, last_idx + 1):
+            C, _ = backend.step(C, inc[:, j - 1], cfg)
+            if j in wanted:
+                snaps[j] = C
+        base = snaps[anchor_idx]
+        return {s: backend.l2_sq(snaps[anchor_idx + s] - base) for s in tau_steps}
 
-        def worker(chunk):
-            paths = [sample_path(plan.seed, int(i), plan.T, plan.j_fine) for i in chunk]
-            inc = np.stack([p.increments for p in paths])
-            C = np.tile(state0, (len(paths), 1))
-            snaps = {}
-            if 0 in wanted:
-                snaps[0] = C.copy()
-            for j in range(1, last_idx + 1):
-                C, _, _ = step_batch(space, sigma, cfg, C, inc[:, j - 1])
-                if j in wanted:
-                    snaps[j] = C.copy()
-            base = snaps[anchor_idx]
-            return {
-                s: space.l2_norm(snaps[anchor_idx + s] - base) ** 2 for s in tau_steps
-            }
-
-        chunks = _chunk_indices(len(path_indices), plan.threads)
-        chunks = [np.asarray(path_indices)[c] for c in chunks]
-        partials = _map_chunks(worker, chunks, plan.threads)
-        return {s: np.concatenate([p[s] for p in partials]) for s in tau_steps}
-
-    samples = sweep(plan.make_sigma(), np.arange(plan.n_paths))
+    noisy = plan.spectral_backend(plan.make_sigma())
+    samples = sweep(noisy, plan.n_paths)
 
     entries = []
     rows = []
@@ -750,19 +640,19 @@ def increment_study(plan):
     for tau, s in zip(taus, tau_steps):
         st = mc_accumulate(samples[s])
         means.append(st.mean)
-        entries.append({"tau": tau, "steps": s, "mean_sq_l2": _stats_block(st)})
+        entries.append({"tau": tau, "steps": s, "mean_sq_l2": st.as_dict()})
         rows.append((tau, st.n, st.mean, st.se, st.ci95[0], st.ci95[1]))
 
     # no-noise control: the deterministic flow is smooth in time, so its
     # squared increments scale like tau^2 (halving ratio about 0.25)
-    control_samples = sweep(make_sigma("zero"), np.arange(1))
+    control_samples = sweep(SpectralBackend(noisy.space, make_sigma("zero")), 1)
     control_means = [float(control_samples[s][0]) for s in tau_steps]
 
     report = _report_base(
         plan,
         {
             "t_anchor": plan.t_anchor,
-            "space": space.metadata(),
+            "space": noisy.metadata(),
             "taus": entries,
             "ratios": _ratio_table(taus, means),
             "control": {
@@ -794,32 +684,30 @@ def identity_suite(plan):
     plan.validate()
     entries = []
 
-    mesh = PeriodicMesh(plan.d, plan.R, plan.n)
-    space = FemSpace(mesh, plan.quad_degree, plan.lumped)
-    k = plan.T / plan.J
-    cfg = plan.scheme_config(k)
+    zero = make_sigma("zero")
+    fem = plan.fem_backend(zero)
+    space = fem.space
+    cfg = plan.scheme_config(plan.T / plan.J)
     x0 = l2_project(space, plan.x0_callable())
 
-    def identity_entry(name, sigma, increments):
-        traj = run_trajectory(space, sigma, cfg, x0, increments, with_identity=True)
-        worst = 0.0
-        violated = False
-        for row in traj.diagnostics:
-            thr = max(IDENTITY_ATOL, IDENTITY_RTOL * abs(row["identity_lhs"]))
-            worst = max(worst, row["identity_residual"])
-            if row["identity_residual"] > thr:
-                violated = True
+    def identity_run(backend, increments, y0=x0):
+        """The worst per-step identity residual, and whether every step passed."""
+        traj = run_trajectory(backend, cfg, y0, increments, with_identity=True)
+        worst = max(check.residual for check in traj.identity)
+        return traj, worst, all(check.passed for check in traj.identity)
+
+    def identity_entry(name, backend, increments):
+        traj, worst, ok = identity_run(backend, increments)
         if plan.lumped:
-            status = "expected-fail" if violated else "unexpected-pass"
+            status = "unexpected-pass" if ok else "expected-fail"
         else:
-            status = "fail" if violated else "pass"
+            status = "pass" if ok else "fail"
         entries.append(
             {"name": name, "status": status, "max_residual": worst, "steps": plan.J}
         )
         return traj
 
-    zero = make_sigma("zero")
-    traj0 = identity_entry("energy_identity_sigma_zero", zero, np.zeros(plan.J))
+    traj0 = identity_entry("energy_identity_sigma_zero", fem, np.zeros(plan.J))
 
     increases = np.diff(traj0.energies)
     max_up = float(increases.max()) if len(increases) else 0.0
@@ -840,15 +728,17 @@ def identity_suite(plan):
     sigma = plan.make_sigma()
     if not sigma.is_zero:
         path = sample_path(plan.seed, 0, plan.T, plan.J)
-        identity_entry(f"energy_identity_sigma_{sigma.name}", sigma, path.increments)
+        identity_entry(
+            f"energy_identity_sigma_{sigma.name}", FemBackend(space, sigma), path.increments
+        )
 
     # weak monotonicity of the drift pairing
     rng = np.random.default_rng(plan.seed)
     worst_margin = -np.inf
     mono_ok = True
     for _ in range(200):
-        y1 = rng.uniform(-3.0, 3.0, mesh.dof_count)
-        y2 = rng.uniform(-3.0, 3.0, mesh.dof_count)
+        y1 = rng.uniform(-3.0, 3.0, space.mesh.dof_count)
+        y2 = rng.uniform(-3.0, 3.0, space.mesh.dof_count)
         gap = model.monotonicity_gap(space, y1, y2)
         e = y1 - y2
         allow = 1e-12 * (1.0 + e @ (space.mass @ e))
@@ -891,19 +781,12 @@ def identity_suite(plan):
     )
 
     if plan.d == 1:
-        sp_space = SpectralSpace(plan.R, 32, plan.spectral_pad)
-        sp0 = spectral_project(sp_space, plan.x0_callable())
-        sp_traj = run_spectral_trajectory(
-            sp_space, sigma, cfg, sp0, sample_path(plan.seed, 1, plan.T, plan.J).increments,
-            with_identity=True,
+        spectral = plan.spectral_backend(sigma, 32)
+        _, worst, sp_ok = identity_run(
+            spectral,
+            sample_path(plan.seed, 1, plan.T, plan.J).increments,
+            spectral.initial(plan.x0_callable()),
         )
-        worst = 0.0
-        sp_ok = True
-        for row in sp_traj.diagnostics:
-            thr = max(IDENTITY_ATOL, IDENTITY_RTOL * abs(row["identity_lhs"]))
-            worst = max(worst, row["identity_residual"])
-            if row["identity_residual"] > thr:
-                sp_ok = False
         entries.append(
             {
                 "name": f"spectral_identity_sigma_{sigma.name}",

@@ -232,14 +232,6 @@ class Field:
         return Field(self.space, self.coeffs.copy(), self.name if name is None else name)
 
 
-def build_periodic_mesh(d, R, n):
-    return PeriodicMesh(d, R, n)
-
-
-def build_space(mesh, quad_degree=4, lumped=False):
-    return FemSpace(mesh, quad_degree=quad_degree, lumped=lumped)
-
-
 def as_coeffs(u):
     return u.coeffs if isinstance(u, Field) else np.asarray(u, dtype=float)
 

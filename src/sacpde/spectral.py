@@ -15,7 +15,7 @@ iterated to rounding stagnation) with a dense full-spectrum solve as the
 fallback when the time step is too large for the split to contract.  All
 per-path arithmetic is row-local, so stepping a batch of paths gives
 bit-identical results for any partition of the batch — the report
-reproducibility contract across thread counts rests on this.
+reproducibility contract across path counts rests on this.
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from scipy.linalg import toeplitz
 from .errors import StepFailure, ValidationError
 from .model import EnergyBreakdown, f_mixed, f_mixed_dy
 from .mesh_fem import Field
+from .stepper import IdentityCheck
 
 _INNER_CAP = 400
 
@@ -34,7 +35,7 @@ def _row_dot(values, w):
 
     A single 2-d matrix-vector product may pick a different BLAS kernel (and
     accumulation order) depending on the batch height, which would make the
-    per-path statistics depend on how paths are partitioned across threads.
+    per-path statistics depend on which paths share a batch.
     """
     v = np.asarray(values)
     if v.ndim == 1:
@@ -203,14 +204,9 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
         sol = rhs0 / D
         return sol, np.ones(len(C), dtype=int), np.zeros(len(C))
 
-    def residual(y):
-        u = space.to_grid(y)
-        fh = space.to_modes(f_mixed(u, u_prev))
-        return D * y + k * fh - rhs0, u
-
     scale = cfg.newton_tol * (1.0 + space.l2_norm(C))
     y = C.copy()
-    Fv, u = residual(y)
+    Fv, u = _residual(space, y, u_prev, rhs0, D, k)
     rnorm = space.l2_norm(Fv)
     iters = np.zeros(len(C), dtype=int)
     open_rows = np.arange(len(C))[rnorm > scale]
@@ -231,15 +227,17 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
         pending = np.arange(len(open_rows))
         y_new = np.empty_like(delta)
         F_new = np.empty_like(delta)
+        u_new = np.empty((len(open_rows), space.grid_size))
         r_new = np.empty(len(open_rows))
         for _ in range(cfg.damping + 1):
             rows = open_rows[pending]
             trial = y[rows] + lam[pending, None] * delta[pending]
-            F_trial, _ = residual_rows(space, trial, u_prev[rows], rhs0[rows], D, k)
+            F_trial, u_trial = _residual(space, trial, u_prev[rows], rhs0[rows], D, k)
             r_trial = space.l2_norm(F_trial)
             ok = (r_trial < rnorm[rows]) | (r_trial <= scale[rows])
             y_new[pending[ok]] = trial[ok]
             F_new[pending[ok]] = F_trial[ok]
+            u_new[pending[ok]] = u_trial[ok]
             r_new[pending[ok]] = r_trial[ok]
             pending = pending[~ok]
             if len(pending) == 0:
@@ -255,25 +253,17 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
         y[open_rows] = y_new
         Fv[open_rows] = F_new
         rnorm[open_rows] = r_new
-        u[open_rows] = space.to_grid(y_new)
+        u[open_rows] = u_new
         iters[open_rows] += 1
         open_rows = open_rows[r_new > scale[open_rows]]
     return y, iters, rnorm
 
 
-def residual_rows(space, y, u_prev, rhs0, D, k):
+def _residual(space, y, u_prev, rhs0, D, k):
+    """Newton residual of the rows y, and their grid values."""
     u = space.to_grid(y)
     fh = space.to_modes(f_mixed(u, u_prev))
     return D * y + k * fh - rhs0, u
-
-
-def spectral_step(space, sigma, cfg, field, dw, linear_only=False):
-    """Single-path step; see step_batch."""
-    C, iters, rnorm = step_batch(
-        space, sigma, cfg, field.coeffs[None, :], np.array([dw]), linear_only=linear_only
-    )
-    diag = {"newton_iters": int(iters[0]), "residual_norm": float(rnorm[0])}
-    return SpectralField(space, C[0]), diag
 
 
 def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
@@ -281,7 +271,7 @@ def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
 
     Same structure as the element version with the mode cut playing the role
     of the L2 projection; exact to rounding because the collocation grid
-    integrates the quartic terms exactly.  Returns (residual, lhs, rhs).
+    integrates the quartic terms exactly.  Returns an IdentityCheck.
     """
     cp = np.asarray(c_prev, dtype=complex)
     cn = np.asarray(c_next, dtype=complex)
@@ -300,57 +290,45 @@ def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
         rhs = 0.0
     else:
         rhs = dw * float(space.inner(space.to_modes(sigma(up)), w))
-    return abs(lhs - rhs), lhs, rhs
+    return IdentityCheck(abs(lhs - rhs), lhs, rhs)
 
 
-class SpectralTrajectory:
-    def __init__(self, space, cfg, y0, terminal, energies, retained, diagnostics):
+class SpectralBackend:
+    """The Fourier discretization behind the batched step contract.
+
+    Same methods as stepper.FemBackend; `step` advances all rows in one
+    step_batch call, whose arithmetic is row-local.
+    """
+
+    def __init__(self, space, sigma):
         self.space = space
-        self.cfg = cfg
-        self.y0 = y0
-        self.terminal = terminal
-        self.energies = energies
-        self.retained = retained
-        self.diagnostics = diagnostics
+        self.sigma = sigma
 
+    def initial(self, x0):
+        return spectral_project(self.space, x0).coeffs
 
-def run_spectral_trajectory(
-    space, sigma, cfg, y0, increments, record_stride=0, with_identity=False
-):
-    """Single-path trajectory with the same diagnostics as the element stepper."""
-    y0 = y0 if isinstance(y0, SpectralField) else SpectralField(space, y0)
-    inc = np.asarray(increments, dtype=float)
-    c = y0.coeffs.copy()
-    energies = np.empty(len(inc) + 1)
-    energies[0] = spectral_energy(space, c).total
-    retained = {0: c.copy()} if record_stride else {}
-    diagnostics = []
-    for j, dw in enumerate(inc, start=1):
-        batch, iters, rnorm = step_batch(space, sigma, cfg, c[None, :], np.array([dw]))
-        c_new = batch[0]
-        en = spectral_energy(space, c_new)
-        row = {
-            "j": j,
-            "t": j * cfg.k,
-            "energy_total": en.total,
-            "gradient_part": en.gradient_part,
-            "potential_part": en.potential_part,
-            "increment_l2": float(space.l2_norm(c_new - c)),
-            "newton_iters": int(iters[0]),
-            "residual_norm": float(rnorm[0]),
-        }
-        if with_identity:
-            res, lhs, _ = spectral_energy_identity_residual(space, sigma, c, c_new, cfg.k, dw)
-            row["identity_residual"] = res
-            row["identity_lhs"] = lhs
-        diagnostics.append(row)
-        c = c_new
-        energies[j] = en.total
-        if record_stride and j % record_stride == 0:
-            retained[j] = c.copy()
-    return SpectralTrajectory(
-        space, cfg, y0, SpectralField(space, c), energies, retained, diagnostics
-    )
+    def step(self, C, dw, cfg):
+        """Returns the new (P, K) states and per-row Newton counters."""
+        C_new, iters, rnorm = step_batch(self.space, self.sigma, cfg, C, dw)
+        return C_new, {"newton_iters": iters, "residual_norm": rnorm}
+
+    def l2_sq(self, D):
+        return self.space.l2_norm(D) ** 2
+
+    def h1_sq(self, D):
+        return self.space.h1_seminorm(D) ** 2
+
+    def l2_norm(self, D):
+        return self.space.l2_norm(D)
+
+    def energy(self, c):
+        return spectral_energy(self.space, c)
+
+    def identity(self, c_prev, c_next, k, dw):
+        return spectral_energy_identity_residual(self.space, self.sigma, c_prev, c_next, k, dw)
+
+    def metadata(self):
+        return self.space.metadata()
 
 
 def evaluate_on_mesh(field, fem_space, name=""):

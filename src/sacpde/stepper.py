@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import StepFailure, ValidationError
-from .mesh_fem import Field, as_coeffs
+from .mesh_fem import as_coeffs, l2_project
 from .model import energy, f_mixed_dy, nonlinear_load, sigma_load
 
 IDENTITY_ATOL = 1e-10
@@ -149,79 +149,118 @@ def step(space, sigma, cfg, y_prev, dw):
     return y, StepDiagnostics(iters, rnorm, halvings_total, picard)
 
 
-class Trajectory:
-    """A realised discrete path: initial/terminal fields plus diagnostics.
+class FemBackend:
+    """The P1 element discretization behind the batched step contract.
 
-    retained maps step index -> coefficient vector for every record_stride-th
-    state; diagnostics is one dict per step (time, energy split, Newton data,
-    increment norm, and the identity residual when requested).
+    A backend binds a space to a noise coefficient and offers what every
+    study needs: `initial(x0)` projects initial data, `step(C, dw, cfg)`
+    advances a (P, K) batch of paths, `l2_sq`/`h1_sq`/`l2_norm` measure the
+    rows of a (P, K) difference, `energy` and `identity` examine one state or
+    step, and `metadata` describes the space.  spectral.SpectralBackend is
+    the other implementation.  Each row is stepped by `step` on its own, so
+    a path's result never depends on which other paths share the batch.
     """
 
-    def __init__(self, space, cfg, y0, terminal, energies, retained, diagnostics):
+    def __init__(self, space, sigma):
         self.space = space
-        self.cfg = cfg
-        self.y0 = y0
+        self.sigma = sigma
+
+    def initial(self, x0):
+        return l2_project(self.space, x0).coeffs
+
+    def step(self, C, dw, cfg):
+        """Returns the new (P, K) states and per-row StepDiagnostics arrays."""
+        out = np.empty_like(C)
+        diags = []
+        for i in range(len(C)):
+            out[i], diag = step(self.space, self.sigma, cfg, C[i], dw[i])
+            diags.append(diag)
+        counters = {
+            name: np.array([getattr(d, name) for d in diags])
+            for name in StepDiagnostics.__slots__
+        }
+        return out, counters
+
+    def _quadratic_form(self, matrix, D):
+        return np.array([d @ (matrix @ d) for d in D])
+
+    def l2_sq(self, D):
+        return self._quadratic_form(self.space.mass, D)
+
+    def h1_sq(self, D):
+        return self._quadratic_form(self.space.stiffness, D)
+
+    def l2_norm(self, D):
+        return np.sqrt(np.maximum(self.l2_sq(D), 0.0))
+
+    def energy(self, c):
+        return energy(self.space, c)
+
+    def identity(self, c_prev, c_next, k, dw):
+        return energy_identity_residual(self.space, self.sigma, c_prev, c_next, k, dw)
+
+    def metadata(self):
+        return self.space.metadata()
+
+
+class Trajectory:
+    """A realised discrete path of one backend.
+
+    energies holds the total energy at every step; terminal is the final
+    coefficient vector; retained maps step index -> coefficients for every
+    record_stride-th state; diagnostics is one dict per step (time, energy
+    split, increment norm, the backend's step counters, and the identity
+    residual when requested); identity holds the per-step IdentityCheck
+    objects when requested.
+    """
+
+    def __init__(self, terminal, energies, retained, diagnostics, identity):
         self.terminal = terminal
         self.energies = energies
         self.retained = retained
         self.diagnostics = diagnostics
+        self.identity = identity
 
 
-def run_trajectory(
-    space,
-    sigma,
-    cfg,
-    y0,
-    increments,
-    record_stride=0,
-    with_identity=False,
-):
-    """Step a prepared initial field through the given Brownian increments.
+def run_trajectory(backend, cfg, y0, increments, record_stride=0, with_identity=False):
+    """Step one prepared initial state through the given Brownian increments.
 
-    y0 must already live on `space` (see mesh_fem.l2_project /
-    nodal_interpolant for the two admissible preparations of analytic data).
+    y0 is a coefficient vector (or field) already on the backend's space,
+    e.g. `backend.initial(x0)`; the path runs as a one-row batch.
     """
-    y0 = y0 if isinstance(y0, Field) else Field(space, y0)
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
         raise ValidationError(f"increments must be a 1-d array (got shape {inc.shape})")
 
-    y = y0.coeffs.copy()
-    en = energy(space, y)
+    y = np.array(getattr(y0, "coeffs", y0))[None, :]
     energies = np.empty(len(inc) + 1)
-    energies[0] = en.total
-    retained = {}
-    if record_stride:
-        retained[0] = y.copy()
+    energies[0] = backend.energy(y[0]).total
+    retained = {0: y[0].copy()} if record_stride else {}
     diagnostics = []
+    checks = []
     for j, dw in enumerate(inc, start=1):
-        y_new, diag = step(space, sigma, cfg, y, dw)
-        en_new = energy(space, y_new)
-        d = y_new - y
+        y_new, counters = backend.step(y, inc[j - 1 : j], cfg)
+        en_new = backend.energy(y_new[0])
         row = {
             "j": j,
             "t": j * cfg.k,
             "energy_total": en_new.total,
             "gradient_part": en_new.gradient_part,
             "potential_part": en_new.potential_part,
-            "increment_l2": float(np.sqrt(max(d @ (space.mass @ d), 0.0))),
-            "newton_iters": diag.newton_iters,
-            "residual_norm": diag.residual_norm,
-            "damping_halvings": diag.damping_halvings,
-            "picard_fallbacks": diag.picard_fallbacks,
+            "increment_l2": float(backend.l2_norm(y_new - y)[0]),
         }
+        row.update((name, values[0].item()) for name, values in counters.items())
         if with_identity:
-            check = energy_identity_residual(space, sigma, y, y_new, cfg.k, dw)
+            check = backend.identity(y[0], y_new[0], cfg.k, dw)
             row["identity_residual"] = check.residual
             row["identity_lhs"] = check.lhs
+            checks.append(check)
         diagnostics.append(row)
         y = y_new
         energies[j] = en_new.total
         if record_stride and j % record_stride == 0:
-            retained[j] = y.copy()
-    return Trajectory(
-        space, cfg, y0, Field(space, y), energies, retained, diagnostics
-    )
+            retained[j] = y[0].copy()
+    return Trajectory(y[0], energies, retained, diagnostics, checks)
 
 
 class IdentityCheck:

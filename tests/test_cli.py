@@ -90,10 +90,47 @@ def test_bad_flag_value_exits_two(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_invalid_plan_exits_two(capsys):
-    rc = main(["rate-time", "--levels", "24"])
+@pytest.mark.parametrize(
+    "argv, problems",
+    [
+        (["rate-time", "--levels", "24"], ["does not divide"]),
+        (["simulate", "--T", "2", "--J", "1"], ["T/1 = 2.0 must be below 1"]),
+        (["rate-time", "--T", "16", "--levels", "8,16"], ["T/8 = 2.0", "T/16 = 1.0"]),
+        (["increments", "--T", "8192"], ["T/4096 = 2.0 must be below 1"]),
+        (["simulate", "--R", "-1"], ["R must be a positive"]),
+        (["simulate", "--newton-tol", "-1"], ["newton_tol must be positive"]),
+        (["simulate", "--solver", "spectral", "--spectral-modes", "0"],
+         ["spectral_modes must be >= 1"]),
+        (["simulate", "--spectral-pad", "1.0"], ["spectral_pad must be >= 1.5"]),
+        (["simulate", "--damping", "-1"], ["damping must be >= 0"]),
+        (["simulate", "--n", "1"], ["n must be >= 2"]),
+        (["rate-space", "--solver", "spectral"], ["rate-space runs on the element solver"]),
+        (["moments", "--solver", "spectral"], ["moments runs on the element solver"]),
+        (["check", "--d", "2", "--quad-degree", "6"], ["quad_degree=6 not available"]),
+        (["simulate", "--sigma", "foo", "--x0", "bar"], ["sigma must be one of", "x0 must be one of"]),
+        (
+            ["simulate", "--T", "2", "--J", "1", "--R", "-1", "--newton-tol", "-1",
+             "--damping", "-1", "--n", "1", "--newton-max-iter", "0"],
+            ["must be below 1", "R must be", "newton_tol must", "damping must",
+             "n must be >= 2", "newton_max_iter must"],
+        ),
+    ],
+    ids=[
+        "level-not-dividing", "step-not-below-one", "level-step-not-below-one",
+        "fine-step-not-below-one",
+        "negative-R", "negative-newton-tol", "no-spectral-modes", "small-spectral-pad",
+        "negative-damping", "one-cell-mesh", "spectral-rate-space", "spectral-moments",
+        "quad-degree-unavailable", "unknown-presets", "all-at-once",
+    ],
+)
+def test_invalid_plan_exits_two(capsys, argv, problems):
+    rc = main(argv)
     assert rc == 2
-    assert "does not divide" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    for problem in problems:
+        assert problem in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_writes_deterministic_artifacts(tmp_path, capsys):

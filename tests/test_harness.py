@@ -1,5 +1,9 @@
 """Study orchestration: coupling, rate fits, determinism, and the check suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -121,16 +125,43 @@ def test_temporal_noise_floor_exclusion_in_smoke_run():
         assert 0 <= lv["sup_of_mean_l2_sq"]["argmax_j"] <= lv["J"]
 
 
-def test_reports_are_byte_identical_across_runs_and_threads():
-    plan = dict(
-        kind="rate-time", solver="spectral", spectral_modes=32, R=2 * np.pi,
-        levels=(16, 32), j_fine=256, n_paths=6, T=0.25, seed=11,
-    )
-    a = temporal_rate_study(ExperimentPlan(**plan))
-    b = temporal_rate_study(ExperimentPlan(**plan))
-    c = temporal_rate_study(ExperimentPlan(**plan, threads=3))
-    assert json17(a.report) == json17(b.report) == json17(c.report)
-    assert a.csv_rows == b.csv_rows == c.csv_rows
+def _rows_of_first_paths(result, count):
+    """CSV rows of paths 0..count-1, rendered with 17 significant digits."""
+    return json17([row for row in result.csv_rows if row[2] < count])
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        dict(
+            kind="rate-time", solver="spectral", spectral_modes=32, R=2 * np.pi,
+            levels=(16, 32), j_fine=256, n_paths=6, T=0.25, seed=11,
+        ),
+        dict(
+            kind="rate-space", solver="fem", R=2 * np.pi, J=16, T=0.25,
+            levels=(8, 16), reference=64, n_paths=5, seed=11,
+        ),
+    ],
+    ids=["spectral-rate-time", "fem-rate-space"],
+)
+def test_reports_are_byte_identical_across_runs_and_partitions(plan):
+    """Reruns give the same bytes, and path i (keyed (seed, i)) gives the
+    same bits whether it runs beside one other path or beside all of them."""
+    study = temporal_rate_study if plan["kind"] == "rate-time" else spatial_rate_study
+    a = study(ExperimentPlan(**plan))
+    b = study(ExperimentPlan(**plan))
+    two = study(ExperimentPlan(**dict(plan, n_paths=2)))
+    assert json17(a.report) == json17(b.report)
+    assert a.csv_rows == b.csv_rows
+    assert _rows_of_first_paths(a, 2) == _rows_of_first_paths(two, 2)
+    assert len(two.csv_rows) == 2 * len(plan["levels"])
+
+
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats costs about a second of start-up; nothing may need it."""
+    code = "import sacpde, sys; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_spatial_rate_smoke():

@@ -7,17 +7,15 @@ from sacpde.errors import ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh
 from sacpde.model import initial_datum, make_sigma
 from sacpde.spectral import (
-    SpectralField,
+    SpectralBackend,
     SpectralSpace,
     evaluate_on_mesh,
-    run_spectral_trajectory,
     spectral_energy,
     spectral_energy_identity_residual,
     spectral_project,
-    spectral_step,
     step_batch,
 )
-from sacpde.stepper import IDENTITY_ATOL, IDENTITY_RTOL, SchemeConfig
+from sacpde.stepper import IDENTITY_ATOL, IDENTITY_RTOL, SchemeConfig, run_trajectory
 from sacpde.stochastic import sample_path
 
 ZERO = make_sigma("zero")
@@ -111,10 +109,10 @@ def test_constant_state_matches_scalar_reduction():
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    f0 = SpectralField(sp, np.r_[c0, np.zeros(8)].astype(complex))
-    f1, diag = spectral_step(sp, ZERO, cfg, f0, 0.0)
-    assert f1.coeffs[0].real == pytest.approx(root, abs=1e-10)
-    np.testing.assert_allclose(np.abs(f1.coeffs[1:]), 0.0, atol=1e-14)
+    C0 = np.r_[c0, np.zeros(8)].astype(complex)[None, :]
+    C1, _, _ = step_batch(sp, ZERO, cfg, C0, np.zeros(1))
+    assert C1[0, 0].real == pytest.approx(root, abs=1e-10)
+    np.testing.assert_allclose(np.abs(C1[0, 1:]), 0.0, atol=1e-14)
 
 
 def test_batch_partition_is_bitwise_invariant():
@@ -140,8 +138,9 @@ def test_spectral_energy_identity_holds():
     inc = sample_path(3, 0, T=0.25, j_fine=50).increments
     for dw in inc:
         new, _, _ = step_batch(sp, sig, cfg, c[None, :], np.array([dw]))
-        resid, lhs, rhs = spectral_energy_identity_residual(sp, sig, c, new[0], cfg.k, dw)
-        assert resid <= max(IDENTITY_ATOL, IDENTITY_RTOL * abs(lhs))
+        check = spectral_energy_identity_residual(sp, sig, c, new[0], cfg.k, dw)
+        assert check.residual <= max(IDENTITY_ATOL, IDENTITY_RTOL * abs(check.lhs))
+        assert check.passed
         c = new[0]
 
 
@@ -149,7 +148,7 @@ def test_spectral_trajectory_dissipates_without_noise():
     sp = SpectralSpace(1.0, 16)
     cfg = SchemeConfig(k=0.005)
     y0 = spectral_project(sp, initial_datum("cos", 1.0))
-    traj = run_spectral_trajectory(sp, ZERO, cfg, y0, np.zeros(40))
+    traj = run_trajectory(SpectralBackend(sp, ZERO), cfg, y0, np.zeros(40))
     assert np.all(np.diff(traj.energies) <= 1e-12 * (1 + abs(traj.energies[0])))
     assert traj.energies[-1] < traj.energies[0]
 
@@ -159,12 +158,10 @@ def test_large_step_falls_back_to_dense_solve():
     sp = SpectralSpace(1.0, 12)
     cfg = SchemeConfig(k=0.5, newton_tol=1e-12)
     y0 = spectral_project(sp, initial_datum("cos", 1.0))
-    f1, diag = spectral_step(sp, ZERO, cfg, y0, 0.0)
-    assert diag["residual_norm"] <= cfg.newton_tol * (1.0 + sp.l2_norm(y0.coeffs))
-    resid, lhs, _ = spectral_energy_identity_residual(
-        sp, ZERO, y0.coeffs, f1.coeffs, cfg.k, 0.0
-    )
-    assert resid <= max(IDENTITY_ATOL, IDENTITY_RTOL * abs(lhs))
+    C1, _, rnorm = step_batch(sp, ZERO, cfg, y0.coeffs[None, :], np.zeros(1))
+    assert rnorm[0] <= cfg.newton_tol * (1.0 + sp.l2_norm(y0.coeffs))
+    check = spectral_energy_identity_residual(sp, ZERO, y0.coeffs, C1[0], cfg.k, 0.0)
+    assert check.residual <= max(IDENTITY_ATOL, IDENTITY_RTOL * abs(check.lhs))
 
 
 def test_spectral_energy_matches_element_energy():

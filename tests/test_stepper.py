@@ -9,6 +9,7 @@ from sacpde.model import energy, initial_datum, make_sigma
 from sacpde.stepper import (
     IDENTITY_ATOL,
     IDENTITY_RTOL,
+    FemBackend,
     SchemeConfig,
     energy_identity_residual,
     run_trajectory,
@@ -92,7 +93,7 @@ def test_deterministic_energy_dissipates():
     space = _space(n=64)
     cfg = SchemeConfig(k=0.0025)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(100))
+    traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(100))
     diffs = np.diff(traj.energies)
     assert np.all(diffs <= 1e-12 * (1.0 + abs(traj.energies[0])))
     assert traj.energies[-1] < traj.energies[0]
@@ -109,7 +110,7 @@ def test_deterministic_increment_bound():
     fitted = {}
     for k in (1e-2, 1e-3):
         cfg = SchemeConfig(k=k)
-        traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(20), record_stride=1)
+        traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(20), record_stride=1)
         worst = 0.0
         for j in range(1, 21):
             d = traj.retained[j] - traj.retained[j - 1]
@@ -125,7 +126,7 @@ def test_energy_identity_sigma_zero():
     space = _space(n=64)
     cfg = SchemeConfig(k=0.0025, newton_tol=1e-12)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(50), with_identity=True)
+    traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(50), with_identity=True)
     for row in traj.diagnostics:
         thr = max(IDENTITY_ATOL, IDENTITY_RTOL * abs(row["identity_lhs"]))
         assert row["identity_residual"] <= thr
@@ -137,7 +138,7 @@ def test_energy_identity_with_noise():
     y0 = l2_project(space, initial_datum("cos", 1.0))
     sig = make_sigma("sine", 0.5)
     inc = sample_path(4, 0, T=0.25, j_fine=50).increments
-    traj = run_trajectory(space, sig, cfg, y0, inc, with_identity=True)
+    traj = run_trajectory(FemBackend(space, sig), cfg, y0, inc, with_identity=True)
     for row in traj.diagnostics:
         thr = max(IDENTITY_ATOL, IDENTITY_RTOL * abs(row["identity_lhs"]))
         assert row["identity_residual"] <= thr
@@ -148,7 +149,7 @@ def test_energy_identity_negative_control():
     space = _space(n=64)
     cfg = SchemeConfig(k=0.0025, newton_tol=1e-3)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(50), with_identity=True)
+    traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(50), with_identity=True)
     worst = max(row["identity_residual"] for row in traj.diagnostics)
     assert worst > IDENTITY_ATOL
 
@@ -158,7 +159,7 @@ def test_energy_identity_exposes_lumping():
     space = _space(n=32, lumped=True)
     cfg = SchemeConfig(k=0.005, newton_tol=1e-12)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(20), with_identity=True)
+    traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(20), with_identity=True)
     worst = max(row["identity_residual"] for row in traj.diagnostics)
     assert worst > IDENTITY_ATOL
 
@@ -187,9 +188,9 @@ def test_zero_step_trajectory():
     space = _space(n=16)
     cfg = SchemeConfig(k=0.01)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(0))
+    traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(0))
     assert len(traj.energies) == 1
-    assert np.array_equal(traj.terminal.coeffs, y0.coeffs)
+    assert np.array_equal(traj.terminal, y0.coeffs)
 
 
 def test_step_failure_raises():
@@ -207,7 +208,7 @@ def test_three_dimensional_smoke():
     y0 = l2_project(space, initial_datum("cos", 1.0))
     sig = make_sigma("sine", 0.5)
     inc = sample_path(1, 0, T=0.02, j_fine=2).increments
-    traj = run_trajectory(space, sig, cfg, y0, inc, with_identity=True)
+    traj = run_trajectory(FemBackend(space, sig), cfg, y0, inc, with_identity=True)
     assert len(traj.energies) == 3
     for row in traj.diagnostics:
         thr = max(IDENTITY_ATOL, IDENTITY_RTOL * abs(row["identity_lhs"]))
@@ -218,6 +219,6 @@ def test_record_stride_retains_states():
     space = _space(n=16)
     cfg = SchemeConfig(k=0.01)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    traj = run_trajectory(space, ZERO, cfg, y0, np.zeros(10), record_stride=5)
+    traj = run_trajectory(FemBackend(space, ZERO), cfg, y0, np.zeros(10), record_stride=5)
     assert sorted(traj.retained) == [0, 5, 10]
-    np.testing.assert_array_equal(traj.retained[10], traj.terminal.coeffs)
+    np.testing.assert_array_equal(traj.retained[10], traj.terminal)
