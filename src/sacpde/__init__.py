@@ -26,13 +26,8 @@ from .harness import (
 )
 from .mesh_fem import (
     FemSpace,
-    Field,
     PeriodicMesh,
-    discrete_laplacian,
     l2_project,
-    nodal_interpolant,
-    norms,
-    prolongate,
     prolongation_matrix,
 )
 from .model import (
@@ -49,7 +44,6 @@ from .quadrature import monomial_integral, simplex_rule, vertex_rule
 from .reports import VERSION, config_hash, json17, write_csv, write_json
 from .spectral import (
     SpectralBackend,
-    SpectralField,
     SpectralSpace,
     evaluate_on_mesh,
     spectral_energy,
@@ -91,13 +85,8 @@ __all__ = [
     "spatial_rate_study",
     "temporal_rate_study",
     "FemSpace",
-    "Field",
     "PeriodicMesh",
-    "discrete_laplacian",
     "l2_project",
-    "nodal_interpolant",
-    "norms",
-    "prolongate",
     "prolongation_matrix",
     "EnergyBreakdown",
     "Sigma",
@@ -116,7 +105,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "SpectralBackend",
-    "SpectralField",
     "SpectralSpace",
     "evaluate_on_mesh",
     "spectral_energy",

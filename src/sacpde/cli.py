@@ -56,8 +56,6 @@ SCHEMA = {
     "n_paths": ("int", "number of Monte Carlo paths"),
     "solver": ("str", "fem or spectral (spectral needs d=1)"),
     "spectral_modes": ("int", "mode cut N of the spectral solver"),
-    "spectral_pad": ("float", "dealiasing pad factor (grid >= 4N+1 always)"),
-    "quad_degree": ("int", "polynomial degree the element quadrature is exact for"),
     "lumped": ("bool", "use the vertex rule everywhere (mass lumping)"),
     "newton_tol": ("float", "relative residual tolerance of the implicit solve"),
     "newton_max_iter": ("int", "Newton iteration cap per step"),
@@ -68,7 +66,6 @@ SCHEMA = {
     "t_anchor": ("float", "anchor time of the increment study"),
     "taus": ("floats", "comma list of time offsets for the increment study"),
     "path_index": ("int", "which path simulate integrates"),
-    "record_stride": ("int", "retain every record_stride-th state (simulate)"),
     "with_identity": ("bool", "record the per-step energy-identity residual (simulate)"),
 }
 
@@ -215,7 +212,7 @@ def run_simulate(plan):
     backend = plan.backend(sigma)
     traj = run_trajectory(
         backend, cfg, backend.initial(plan.x0_callable()), increments,
-        record_stride=plan.record_stride, with_identity=plan.with_identity,
+        with_identity=plan.with_identity,
     )
     report = {
         "kind": "simulate",

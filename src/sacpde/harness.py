@@ -17,7 +17,6 @@ from scipy.special import stdtrit
 from .errors import ContractError, ValidationError
 from .mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
 from .model import initial_datum, make_sigma
-from .quadrature import simplex_rule
 from .reports import VERSION, config_hash
 from .spectral import SpectralBackend, SpectralSpace
 from .stepper import FemBackend, SchemeConfig, run_trajectory
@@ -50,8 +49,6 @@ class ExperimentPlan:
     n_paths: int = 64
     solver: str = "spectral"
     spectral_modes: int = 128
-    spectral_pad: float = 2.0
-    quad_degree: int = 4
     lumped: bool = False
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
@@ -62,7 +59,6 @@ class ExperimentPlan:
     t_anchor: float = 0.125
     taus: tuple = ()
     path_index: int = 0
-    record_stride: int = 0
     with_identity: bool = False
 
     def validate(self):
@@ -71,8 +67,6 @@ class ExperimentPlan:
             bad.append(f"kind must be one of {STUDY_KINDS} (got {self.kind!r})")
         if self.d not in (1, 2, 3):
             bad.append(f"d must be 1, 2 or 3 (got {self.d})")
-        elif not self.lumped:
-            self._collect(bad, simplex_rule, self.d, self.quad_degree)
         if not (np.isfinite(self.R) and self.R > 0):
             bad.append(f"R must be a positive real number (got {self.R})")
         if not self.T > 0:
@@ -98,12 +92,10 @@ class ExperimentPlan:
             bad.append(f"solver must be spectral or fem (got {self.solver!r})")
         if self.solver == "spectral" and self.d != 1:
             bad.append("the spectral solver supports d=1 only")
-        if self.solver == "spectral" and self.kind in ("rate-space", "moments"):
+        if self.solver == "spectral" and self.kind in ("rate-space", "moments", "check"):
             bad.append(f"{self.kind} runs on the element solver only (got solver='spectral')")
         if self.spectral_modes < 1:
             bad.append(f"spectral_modes must be >= 1 (got {self.spectral_modes})")
-        if not self.spectral_pad >= 1.5:
-            bad.append(f"spectral_pad must be >= 1.5 (got {self.spectral_pad})")
         if not self.newton_tol > 0:
             bad.append(f"newton_tol must be positive (got {self.newton_tol})")
         if self.newton_max_iter < 1:
@@ -120,8 +112,6 @@ class ExperimentPlan:
         self._collect(bad, self.x0_callable)
         if self.path_index < 0:
             bad.append(f"path_index must be nonnegative (got {self.path_index})")
-        if self.record_stride < 0:
-            bad.append(f"record_stride must be nonnegative (got {self.record_stride})")
 
         if self.kind == "rate-time":
             self._validate_temporal_levels(bad)
@@ -213,10 +203,10 @@ class ExperimentPlan:
             )
 
     @staticmethod
-    def _collect(bad, build, *args):
+    def _collect(bad, build):
         """Run a constructor for its argument checks, collecting its complaint."""
         try:
-            build(*args)
+            build()
         except ValidationError as exc:
             bad.append(str(exc))
 
@@ -248,11 +238,11 @@ class ExperimentPlan:
     def fem_backend(self, sigma, n=None):
         """Element discretization on the plan's torus with n cells per axis."""
         mesh = PeriodicMesh(self.d, self.R, self.n if n is None else int(n))
-        return FemBackend(FemSpace(mesh, self.quad_degree, self.lumped), sigma)
+        return FemBackend(FemSpace(mesh, self.lumped), sigma)
 
     def spectral_backend(self, sigma, modes=None):
         modes = self.spectral_modes if modes is None else modes
-        return SpectralBackend(SpectralSpace(self.R, modes, self.spectral_pad), sigma)
+        return SpectralBackend(SpectralSpace(self.R, modes), sigma)
 
     def backend(self, sigma):
         """The discretization the plan's `solver` selects."""
@@ -534,17 +524,18 @@ def moment_study(plan):
     for J, n in plan.levels:
         J, n = int(J), int(n)
         backend = plan.fem_backend(sigma, n)
-        y0 = backend.initial(x0)
         k = plan.T / J
         cfg = plan.scheme_config(k)
-        energies = np.array(
-            [
-                run_trajectory(
-                    backend, cfg, y0, sample_path(plan.seed, i, plan.T, J).increments
-                ).energies
-                for i in range(plan.n_paths)
-            ]
+        inc = np.stack(
+            [sample_path(plan.seed, i, plan.T, J).increments for i in range(plan.n_paths)]
         )
+        # all paths step as one batch; only their energies are kept
+        C = np.tile(backend.initial(x0), (plan.n_paths, 1))
+        energies = np.empty((plan.n_paths, J + 1))
+        energies[:, 0] = backend.energy(C[0]).total
+        for j in range(1, J + 1):
+            C, _ = backend.step(C, inc[:, j - 1], cfg)
+            energies[:, j] = [backend.energy(c).total for c in C]
 
         entry = {"J": J, "n": n, "k": k, "moments": {}}
         for p in MOMENT_POWERS:

@@ -6,10 +6,10 @@ opposite faces identified so there are exactly n**d degrees of freedom.  This
 family is closed under dyadic refinement, which makes nodal prolongation
 exact and lets the rate harness compare levels without interpolation error.
 
-All integrals are evaluated with a fixed simplex quadrature rule whose
-polynomial exactness degree is chosen at space construction (default 4: the
-cubic nonlinearity times a P1 test function is degree 4, and the discrete
-energy identity holds to rounding only when those integrals are exact).
+All integrals are evaluated with one fixed simplex quadrature rule, exact to
+degree 4: the cubic nonlinearity times a P1 test function is degree 4, and
+the discrete energy identity holds to rounding only when those integrals are
+exact.  States are plain coefficient arrays: nodal values of the P1 function.
 """
 
 import itertools
@@ -104,15 +104,15 @@ class FemSpace:
     suite reports that configuration as an expected failure).
     """
 
-    def __init__(self, mesh, quad_degree=4, lumped=False):
+    def __init__(self, mesh, lumped=False):
         self.mesh = mesh
         self.lumped = bool(lumped)
         if self.lumped:
             pts, wts = quadrature.vertex_rule(mesh.d)
             self.quad_degree = 1
         else:
-            pts, wts = quadrature.simplex_rule(mesh.d, quad_degree)
-            self.quad_degree = int(quad_degree)
+            pts, wts = quadrature.simplex_rule(mesh.d)
+            self.quad_degree = 4
         self.quad_points = pts          # (Q, d+1) barycentric = P1 values
         self.quad_weights = wts         # (Q,), sums to 1
         # w_q * lam_j(q) * lam_k(q), ready for weighted-mass assembly
@@ -202,10 +202,10 @@ class FemSpace:
     def exact_twin(self):
         """Same mesh, degree-4 quadrature: the space whose integrals are exact
         for the quartic terms.  Returns self when already exact."""
-        if not self.lumped and self.quad_degree >= 4:
+        if not self.lumped:
             return self
         if self._exact_twin is None:
-            self._exact_twin = FemSpace(self.mesh, 4, lumped=False)
+            self._exact_twin = FemSpace(self.mesh)
         return self._exact_twin
 
     def metadata(self):
@@ -215,71 +215,12 @@ class FemSpace:
         return md
 
 
-class Field:
-    """A P1 coefficient vector bound to its space."""
-
-    def __init__(self, space, coeffs, name=""):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.mesh.dof_count,):
-            raise ValidationError(
-                f"coeffs must have shape ({space.mesh.dof_count},), got {coeffs.shape}"
-            )
-        self.space = space
-        self.coeffs = coeffs
-        self.name = name
-
-    def copy(self, name=None):
-        return Field(self.space, self.coeffs.copy(), self.name if name is None else name)
-
-
-def as_coeffs(u):
-    return u.coeffs if isinstance(u, Field) else np.asarray(u, dtype=float)
-
-
-def l2_project(space, g, name=""):
-    """L2 projection onto the space.
-
-    ``g`` may be a callable of position arrays (..., d), a Field on a nested
-    finer space of the same torus (projection computed exactly through the
-    prolongation transpose), or a Field/array already on this space.
-    """
-    if callable(g):
-        xq = space.physical_quad_points()
-        b = space.load_vector(np.asarray(g(xq), dtype=float))
-    elif isinstance(g, Field):
-        if g.space is space or g.space.mesh.n == space.mesh.n:
-            return Field(space, as_coeffs(g).copy(), name)
-        P = prolongation_matrix(space.mesh, g.space.mesh)
-        b = P.T @ (g.space.mass @ g.coeffs)
-    else:
-        arr = np.asarray(g, dtype=float)
-        if arr.shape != (space.mesh.dof_count,):
-            raise ValidationError(
-                "l2_project expects a callable, a Field, or a coefficient "
-                f"vector of length {space.mesh.dof_count} (got shape {arr.shape})"
-            )
-        return Field(space, arr.copy(), name)
-    return Field(space, space.solve_mass(b), name)
-
-
-def nodal_interpolant(space, g, name=""):
-    """Nodal interpolation of a callable (the 'interpolate' initial-datum mode)."""
-    vals = np.asarray(g(space.mesh.vertices), dtype=float)
-    return Field(space, vals, name)
-
-
-def discrete_laplacian(space, u):
-    """The mesh Laplacian: solve M w = -A u, so (w, v) = -(grad u, grad v)."""
-    w = space.solve_mass(-(space.stiffness @ as_coeffs(u)))
-    return Field(space, w)
-
-
-def norms(space, u):
-    """Return (l2, h1_semi) norms of a P1 function; exact mass/stiffness forms."""
-    c = as_coeffs(u)
-    l2sq = c @ (space.mass @ c)
-    h1sq = c @ (space.stiffness @ c)
-    return np.sqrt(max(l2sq, 0.0)), np.sqrt(max(h1sq, 0.0))
+def l2_project(space, g):
+    """L2 projection of a callable of position arrays (..., d) onto the space;
+    returns the coefficient vector."""
+    xq = space.physical_quad_points()
+    b = space.load_vector(np.asarray(g(xq), dtype=float))
+    return space.solve_mass(b)
 
 
 def _path_dofs(cells, axis_order, n):
@@ -337,8 +278,3 @@ def prolongation_matrix(coarse_mesh, fine_mesh):
         shape=(nf**d, nc**d),
     )
     return P.tocsr()
-
-
-def prolongate(field, fine_space):
-    P = prolongation_matrix(field.space.mesh, fine_space.mesh)
-    return Field(fine_space, P @ field.coeffs, field.name)

@@ -2,7 +2,7 @@
 
 Everything here is written against a FemSpace: integrals of the quartic
 potential and the cubic reaction terms are evaluated with the space's
-quadrature rule, which is exact for them at the default degree 4.  That
+quadrature rule, which is exact for them unless the space is lumped.  That
 exactness is what makes the per-step energy identity in `stepper` hold to
 rounding rather than to discretisation error.
 """
@@ -10,7 +10,6 @@ rounding rather than to discretisation error.
 import numpy as np
 
 from .errors import ValidationError
-from .mesh_fem import Field, as_coeffs
 
 
 # -- scalar reaction terms ---------------------------------------------------
@@ -104,22 +103,21 @@ class EnergyBreakdown:
 
 
 def psi_value(space, u):
-    """int (u^2-1)^2 / 4 over the torus, exact for P1 u at quad degree >= 4."""
-    uq = space.element_values(as_coeffs(u))
+    """int (u^2-1)^2 / 4 over the torus, exact for P1 u unless lumped."""
+    uq = space.element_values(u)
     return 0.25 * space.integrate((uq * uq - 1.0) ** 2)
 
 
 def energy(space, u):
-    c = as_coeffs(u)
-    return EnergyBreakdown(0.5 * (c @ (space.stiffness @ c)), psi_value(space, u))
+    return EnergyBreakdown(0.5 * (u @ (space.stiffness @ u)), psi_value(space, u))
 
 
 # -- variational loads ------------------------------------------------------
 
 def nonlinear_load(space, y, z):
     """Vector of (f_mixed(y, z), phi_i) for P1 y, z."""
-    yq = space.element_values(as_coeffs(y))
-    zq = space.element_values(as_coeffs(z))
+    yq = space.element_values(y)
+    zq = space.element_values(z)
     return space.load_vector(f_mixed(yq, zq))
 
 
@@ -132,7 +130,7 @@ def sigma_load(space, sigma, u):
     """
     if sigma.is_zero:
         return np.zeros(space.mesh.dof_count)
-    uq = space.element_values(as_coeffs(u))
+    uq = space.element_values(u)
     return space.load_vector(sigma(uq))
 
 
@@ -147,11 +145,10 @@ def monotonicity_gap(space, y1, y2, K=1.0):
     makes the exact value <= 0; callers compare against a rounding allowance
     proportional to 1 + |e|^2.
     """
-    c1, c2 = as_coeffs(y1), as_coeffs(y2)
-    e = c1 - c2
+    e = y1 - y2
     grad_sq = e @ (space.stiffness @ e)
-    q1 = space.element_values(c1)
-    q2 = space.element_values(c2)
+    q1 = space.element_values(y1)
+    q2 = space.element_values(y2)
     eq = space.element_values(e)
     well_pair = space.integrate((dpsi(q1) - dpsi(q2)) * eq)
     drift_pair = -grad_sq - well_pair

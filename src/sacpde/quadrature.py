@@ -1,4 +1,5 @@
-"""Quadrature rules on reference simplices (interval, triangle, tetrahedron).
+"""Quadrature rules on reference simplices (interval, triangle, tetrahedron):
+one rule exact to degree 4 per dimension, and the nodal vertex rule.
 
 Rules are returned in barycentric coordinates with weights normalised to sum
 to one, so an element integral is ``vol(K) * sum_q w[q] * integrand(x_q)``.
@@ -23,11 +24,7 @@ def _gauss_interval(npts):
     return pts, 0.5 * w
 
 
-def _triangle_rules():
-    # 3-point edge-midpoint rule, degree 2.
-    mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    deg2 = (mid, np.full(3, 1.0 / 3.0))
-
+def _triangle_rule():
     # 6-point degree-4 rule (two symmetric orbits, positive weights).
     a1, w1 = 0.108103018168070, 0.223381589678011
     a2, w2 = 0.816847572980459, 0.109951743655322
@@ -38,18 +35,10 @@ def _triangle_rules():
         for lam in ((a, b, b), (b, a, b), (b, b, a)):
             pts.append(lam)
             wts.append(w)
-    deg4 = (np.array(pts), np.array(wts))
-    return {2: deg2, 4: deg4}
+    return np.array(pts), np.array(wts)
 
 
-def _tetrahedron_rules():
-    # 4-point degree-2 rule.
-    a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
-    b = (5.0 - np.sqrt(5.0)) / 20.0
-    pts = np.full((4, 4), b)
-    np.fill_diagonal(pts, a)
-    deg2 = (pts, np.full(4, 0.25))
-
+def _tetrahedron_rule():
     # 11-point degree-4 rule (centroid weight is negative; the rule is still
     # exact, which is all the energy-identity bookkeeping needs).
     c = np.sqrt(5.0 / 14.0)
@@ -69,32 +58,20 @@ def _tetrahedron_rules():
             lam[j] = g2a
             points.append(tuple(lam))
             weights.append(6.0 * (28.0 / 1125.0))
-    deg4 = (np.array(points), np.array(weights))
-    return {2: deg2, 4: deg4}
+    return np.array(points), np.array(weights)
 
 
-_TRI = _triangle_rules()
-_TET = _tetrahedron_rules()
+_RULES = {1: _gauss_interval(3), 2: _triangle_rule(), 3: _tetrahedron_rule()}
 
 
-def simplex_rule(d, degree):
-    """Return (points, weights) exact for polynomials up to ``degree``.
+def simplex_rule(d):
+    """Return (points, weights) exact for polynomials up to degree 4.
 
     points has shape (Q, d+1) in barycentric coordinates, weights sum to 1.
     """
-    if d not in (1, 2, 3):
+    if d not in _RULES:
         raise ValidationError(f"d must be one of 1, 2, 3 (got {d})")
-    if not isinstance(degree, (int, np.integer)) or degree < 1:
-        raise ValidationError(f"quad_degree must be a positive integer (got {degree!r})")
-    if d == 1:
-        return _gauss_interval((int(degree) + 2) // 2)
-    table = _TRI if d == 2 else _TET
-    for avail in sorted(table):
-        if avail >= degree:
-            return table[avail]
-    raise ValidationError(
-        f"quad_degree={degree} not available for d={d} (max supported 4)"
-    )
+    return _RULES[d]
 
 
 def vertex_rule(d):

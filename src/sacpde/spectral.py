@@ -2,11 +2,10 @@
 
 The state is the half-spectrum of a real trigonometric polynomial with modes
 up to N: u = c_0 + 2 Re sum_{m=1..N} c_m exp(2 pi i m x / R).  Products are
-evaluated on a zero-padded collocation grid that never drops below 4N+1
-points, which makes the projected cubic reaction term exact on the retained
-modes — the truncated-space energy identity needs exactly that (the common
-3/2-rule padding is only exact for quadratic products, so the default pad
-factor here is 2).
+evaluated on a zero-padded collocation grid of at least 2(2N+1) points, which
+makes the projected cubic reaction term exact on the retained modes — the
+truncated-space energy identity needs exactly that (the common 3/2-rule
+padding is only exact for quadratic products, so the pad factor here is 2).
 
 The implicit step solves the same two-level scheme as the element stepper,
 by Newton iteration in coefficient space with the exact Jacobian; the Newton
@@ -24,7 +23,6 @@ from scipy.linalg import toeplitz
 
 from .errors import StepFailure, ValidationError
 from .model import EnergyBreakdown, f_mixed, f_mixed_dy
-from .mesh_fem import Field
 from .stepper import IdentityCheck
 
 _INNER_CAP = 400
@@ -49,18 +47,14 @@ def _row_dot(values, w):
 class SpectralSpace:
     """Truncated Fourier space: period R, modes 0..n_modes, dealiased grid."""
 
-    def __init__(self, R, n_modes, pad=2.0):
+    def __init__(self, R, n_modes):
         if not np.isfinite(R) or R <= 0:
             raise ValidationError(f"R must be a positive real number (got {R!r})")
         if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
             raise ValidationError(f"spectral_modes must be a positive integer (got {n_modes!r})")
-        if not pad >= 1.5:
-            raise ValidationError(f"spectral_pad must be >= 1.5 (got {pad!r})")
         self.R = float(R)
         self.n_modes = int(n_modes)
-        self.pad = float(pad)
-        wanted = int(np.ceil(self.pad * (2 * self.n_modes + 1)))
-        self.grid_size = next_fast_len(max(wanted, 4 * self.n_modes + 1))
+        self.grid_size = next_fast_len(2 * (2 * self.n_modes + 1))
         self.x_grid = self.R * np.arange(self.grid_size) / self.grid_size
         m = np.arange(self.n_modes + 1)
         self.eigenvalues = (2.0 * np.pi * m / self.R) ** 2
@@ -101,34 +95,15 @@ class SpectralSpace:
         return {
             "R": self.R,
             "n_modes": self.n_modes,
-            "pad": self.pad,
             "grid_size": self.grid_size,
         }
 
 
-class SpectralField:
-    """Half-spectrum coefficients bound to their space."""
-
-    __slots__ = ("space", "coeffs", "name")
-
-    def __init__(self, space, coeffs, name=""):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (space.coeff_count,):
-            raise ValidationError(
-                f"coeffs must have shape ({space.coeff_count},), got {coeffs.shape}"
-            )
-        self.space = space
-        self.coeffs = coeffs
-        self.name = name
-
-    def copy(self):
-        return SpectralField(self.space, self.coeffs.copy(), self.name)
-
-
-def spectral_project(space, g, name=""):
-    """L2 projection of a callable of positions (..., 1) onto the mode cut."""
+def spectral_project(space, g):
+    """L2 projection of a callable of positions (..., 1) onto the mode cut;
+    returns the half-spectrum coefficients."""
     vals = np.asarray(g(space.x_grid[:, None]), dtype=float)
-    return SpectralField(space, space.to_modes(vals), name)
+    return space.to_modes(vals)
 
 
 def spectral_energy(space, coeffs):
@@ -206,7 +181,8 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
 
     scale = cfg.newton_tol * (1.0 + space.l2_norm(C))
     y = C.copy()
-    Fv, u = _residual(space, y, u_prev, rhs0, D, k)
+    u = u_prev.copy()
+    Fv = _residual(space, y, u, u_prev, rhs0, D, k)
     rnorm = space.l2_norm(Fv)
     iters = np.zeros(len(C), dtype=int)
     open_rows = np.arange(len(C))[rnorm > scale]
@@ -232,7 +208,8 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
         for _ in range(cfg.damping + 1):
             rows = open_rows[pending]
             trial = y[rows] + lam[pending, None] * delta[pending]
-            F_trial, u_trial = _residual(space, trial, u_prev[rows], rhs0[rows], D, k)
+            u_trial = space.to_grid(trial)
+            F_trial = _residual(space, trial, u_trial, u_prev[rows], rhs0[rows], D, k)
             r_trial = space.l2_norm(F_trial)
             ok = (r_trial < rnorm[rows]) | (r_trial <= scale[rows])
             y_new[pending[ok]] = trial[ok]
@@ -259,11 +236,10 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
     return y, iters, rnorm
 
 
-def _residual(space, y, u_prev, rhs0, D, k):
-    """Newton residual of the rows y, and their grid values."""
-    u = space.to_grid(y)
+def _residual(space, y, u, u_prev, rhs0, D, k):
+    """Newton residual of the rows y, whose grid values are u."""
     fh = space.to_modes(f_mixed(u, u_prev))
-    return D * y + k * fh - rhs0, u
+    return D * y + k * fh - rhs0
 
 
 def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
@@ -305,7 +281,7 @@ class SpectralBackend:
         self.sigma = sigma
 
     def initial(self, x0):
-        return spectral_project(self.space, x0).coeffs
+        return spectral_project(self.space, x0)
 
     def step(self, C, dw, cfg):
         """Returns the new (P, K) states and per-row Newton counters."""
@@ -331,15 +307,11 @@ class SpectralBackend:
         return self.space.metadata()
 
 
-def evaluate_on_mesh(field, fem_space, name=""):
-    """Nodal interpolant of the trigonometric polynomial on an element mesh."""
-    space = field.space
+def evaluate_on_mesh(space, coeffs, fem_space):
+    """Values of the trigonometric polynomial at the vertices of an element
+    mesh: the coefficients of its nodal interpolant."""
     x = fem_space.mesh.vertices[:, 0]
     m = np.arange(1, space.n_modes + 1)
     phase = 2.0 * np.pi * np.outer(x, m) / space.R
-    c = field.coeffs
-    vals = (
-        np.real(c[0])
-        + 2.0 * (np.cos(phase) @ np.real(c[1:]) - np.sin(phase) @ np.imag(c[1:]))
-    )
-    return Field(fem_space, vals, name)
+    c0, c = coeffs[0], coeffs[1:]
+    return np.real(c0) + 2.0 * (np.cos(phase) @ np.real(c) - np.sin(phase) @ np.imag(c))

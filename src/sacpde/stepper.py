@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import StepFailure, ValidationError
-from .mesh_fem import as_coeffs, l2_project
+from .mesh_fem import l2_project
 from .model import energy, f_mixed_dy, nonlinear_load, sigma_load
 
 IDENTITY_ATOL = 1e-10
@@ -70,14 +70,13 @@ def _solve_linear(space, J, rhs):
     return x
 
 
-def step(space, sigma, cfg, y_prev, dw):
+def step(space, sigma, cfg, yp, dw):
     """Advance one step; returns (coeffs, StepDiagnostics).
 
     Newton starts from the previous value, damps by halving the update until
     the residual norm decreases, and falls back to a lagged-diffusion sweep
     if the Jacobian factorization fails.  Non-convergence raises StepFailure.
     """
-    yp = as_coeffs(y_prev)
     k = cfg.k
     M, A = space.mass, space.stiffness
     m_yp = M @ yp
@@ -166,7 +165,7 @@ class FemBackend:
         self.sigma = sigma
 
     def initial(self, x0):
-        return l2_project(self.space, x0).coeffs
+        return l2_project(self.space, x0)
 
     def step(self, C, dw, cfg):
         """Returns the new (P, K) states and per-row StepDiagnostics arrays."""
@@ -207,35 +206,32 @@ class Trajectory:
     """A realised discrete path of one backend.
 
     energies holds the total energy at every step; terminal is the final
-    coefficient vector; retained maps step index -> coefficients for every
-    record_stride-th state; diagnostics is one dict per step (time, energy
-    split, increment norm, the backend's step counters, and the identity
-    residual when requested); identity holds the per-step IdentityCheck
-    objects when requested.
+    coefficient vector; diagnostics is one dict per step (time, energy split,
+    increment norm, the backend's step counters, and the identity residual
+    when requested); identity holds the per-step IdentityCheck objects when
+    requested.
     """
 
-    def __init__(self, terminal, energies, retained, diagnostics, identity):
+    def __init__(self, terminal, energies, diagnostics, identity):
         self.terminal = terminal
         self.energies = energies
-        self.retained = retained
         self.diagnostics = diagnostics
         self.identity = identity
 
 
-def run_trajectory(backend, cfg, y0, increments, record_stride=0, with_identity=False):
+def run_trajectory(backend, cfg, y0, increments, with_identity=False):
     """Step one prepared initial state through the given Brownian increments.
 
-    y0 is a coefficient vector (or field) already on the backend's space,
-    e.g. `backend.initial(x0)`; the path runs as a one-row batch.
+    y0 is a coefficient vector already on the backend's space, e.g.
+    `backend.initial(x0)`; the path runs as a one-row batch.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
         raise ValidationError(f"increments must be a 1-d array (got shape {inc.shape})")
 
-    y = np.array(getattr(y0, "coeffs", y0))[None, :]
+    y = np.array(y0)[None, :]
     energies = np.empty(len(inc) + 1)
     energies[0] = backend.energy(y[0]).total
-    retained = {0: y[0].copy()} if record_stride else {}
     diagnostics = []
     checks = []
     for j, dw in enumerate(inc, start=1):
@@ -258,9 +254,7 @@ def run_trajectory(backend, cfg, y0, increments, record_stride=0, with_identity=
         diagnostics.append(row)
         y = y_new
         energies[j] = en_new.total
-        if record_stride and j % record_stride == 0:
-            retained[j] = y[0].copy()
-    return Trajectory(y[0], energies, retained, diagnostics, checks)
+    return Trajectory(y[0], energies, diagnostics, checks)
 
 
 class IdentityCheck:
@@ -277,7 +271,7 @@ class IdentityCheck:
         return self.residual <= self.threshold
 
 
-def energy_identity_residual(space, sigma, y_prev, y_next, k, dw):
+def energy_identity_residual(space, sigma, yp, yn, k, dw):
     """Defect of the exact per-step energy balance.
 
     With w the coefficients of -lap_h Y + proj f_mixed(Y, Y_prev), the scheme
@@ -290,7 +284,6 @@ def energy_identity_residual(space, sigma, y_prev, y_next, k, dw):
     degree-4 polynomials.  Returns an IdentityCheck with the absolute defect
     and the threshold max(1e-10, 1e-10 |lhs|) the contract allows.
     """
-    yp, yn = as_coeffs(y_prev), as_coeffs(y_next)
     M, A = space.mass, space.stiffness
     b = nonlinear_load(space, yn, yp)
     w = space.solve_mass(A @ yn + b)

@@ -21,7 +21,6 @@ from sacpde.model import initial_datum, make_sigma, monotonicity_gap
 from sacpde.reports import json17
 from sacpde.spectral import (
     SpectralBackend,
-    SpectralField,
     SpectralSpace,
     evaluate_on_mesh,
     spectral_project,
@@ -222,6 +221,6 @@ def test_acceptance_9_fem_spectral_cross_validation():
     sp = SpectralSpace(R, 128)
     spec = run_trajectory(SpectralBackend(sp, sig), cfg, spectral_project(sp, x0), inc)
 
-    diff = fem.terminal - evaluate_on_mesh(SpectralField(sp, spec.terminal), space).coeffs
+    diff = fem.terminal - evaluate_on_mesh(sp, spec.terminal, space)
     l2 = float(np.sqrt(diff @ (space.mass @ diff)))
     _verdict(9, l2 <= 1e-2, f"terminal L2 difference {l2:.3e}")

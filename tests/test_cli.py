@@ -2,18 +2,26 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sacpde.cli import (
     KIND_DEFAULTS,
+    SCHEMA,
     build_plan,
     env_overrides,
     load_config_file,
     main,
 )
 from sacpde.errors import ConfigError
+from sacpde.harness import ExperimentPlan
+
+
+def test_schema_lists_every_plan_option():
+    """Each plan field is settable from the command line, and nothing else."""
+    assert set(SCHEMA) == {f.name for f in fields(ExperimentPlan)} - {"kind"}
 
 
 def test_kind_defaults_applied():
@@ -84,6 +92,18 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option", ["--spectral-pad", "--quad-degree", "--record-stride"],
+    ids=["spectral-pad", "quad-degree", "record-stride"],
+)
+def test_removed_option_is_a_usage_error(capsys, option):
+    """The pad factor, quadrature degree and record stride are fixed, not options."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", option, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
+
+
 def test_bad_flag_value_exits_two(capsys):
     rc = main(["simulate", "--n", "many"])
     assert rc == 2
@@ -101,12 +121,11 @@ def test_bad_flag_value_exits_two(capsys):
         (["simulate", "--newton-tol", "-1"], ["newton_tol must be positive"]),
         (["simulate", "--solver", "spectral", "--spectral-modes", "0"],
          ["spectral_modes must be >= 1"]),
-        (["simulate", "--spectral-pad", "1.0"], ["spectral_pad must be >= 1.5"]),
         (["simulate", "--damping", "-1"], ["damping must be >= 0"]),
         (["simulate", "--n", "1"], ["n must be >= 2"]),
         (["rate-space", "--solver", "spectral"], ["rate-space runs on the element solver"]),
         (["moments", "--solver", "spectral"], ["moments runs on the element solver"]),
-        (["check", "--d", "2", "--quad-degree", "6"], ["quad_degree=6 not available"]),
+        (["check", "--solver", "spectral"], ["check runs on the element solver"]),
         (["simulate", "--sigma", "foo", "--x0", "bar"], ["sigma must be one of", "x0 must be one of"]),
         (
             ["simulate", "--T", "2", "--J", "1", "--R", "-1", "--newton-tol", "-1",
@@ -118,9 +137,9 @@ def test_bad_flag_value_exits_two(capsys):
     ids=[
         "level-not-dividing", "step-not-below-one", "level-step-not-below-one",
         "fine-step-not-below-one",
-        "negative-R", "negative-newton-tol", "no-spectral-modes", "small-spectral-pad",
+        "negative-R", "negative-newton-tol", "no-spectral-modes",
         "negative-damping", "one-cell-mesh", "spectral-rate-space", "spectral-moments",
-        "quad-degree-unavailable", "unknown-presets", "all-at-once",
+        "spectral-check", "unknown-presets", "all-at-once",
     ],
 )
 def test_invalid_plan_exits_two(capsys, argv, problems):

@@ -18,6 +18,8 @@ from sacpde.harness import (
     temporal_rate_study,
 )
 from sacpde.reports import json17
+from sacpde.spectral import SpectralBackend
+from sacpde.stepper import FemBackend
 
 
 def test_fit_loglog_recovers_exact_power():
@@ -130,6 +132,26 @@ def _rows_of_first_paths(result, count):
     return json17([row for row in result.csv_rows if row[2] < count])
 
 
+def _run_recording_states(study, plan):
+    """Run the study; also return every batch of states a backend stepped to."""
+    states = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (FemBackend, SpectralBackend):
+            def recording(self, C, dw, cfg, _step=cls.step):
+                out = _step(self, C, dw, cfg)
+                states.append(out[0].copy())
+                return out
+            mp.setattr(cls, "step", recording)
+        return study(ExperimentPlan(**plan)), states
+
+
+_STUDIES = {
+    "rate-time": temporal_rate_study,
+    "rate-space": spatial_rate_study,
+    "moments": moment_study,
+}
+
+
 @pytest.mark.parametrize(
     "plan",
     [
@@ -141,20 +163,28 @@ def _rows_of_first_paths(result, count):
             kind="rate-space", solver="fem", R=2 * np.pi, J=16, T=0.25,
             levels=(8, 16), reference=64, n_paths=5, seed=11,
         ),
+        dict(
+            kind="moments", solver="fem", R=2 * np.pi, T=0.25,
+            levels=((16, 8), (32, 16)), n_paths=5, seed=11,
+        ),
     ],
-    ids=["spectral-rate-time", "fem-rate-space"],
+    ids=["spectral-rate-time", "fem-rate-space", "fem-moments"],
 )
 def test_reports_are_byte_identical_across_runs_and_partitions(plan):
     """Reruns give the same bytes, and path i (keyed (seed, i)) gives the
     same bits whether it runs beside one other path or beside all of them."""
-    study = temporal_rate_study if plan["kind"] == "rate-time" else spatial_rate_study
-    a = study(ExperimentPlan(**plan))
+    study = _STUDIES[plan["kind"]]
+    a, states = _run_recording_states(study, plan)
     b = study(ExperimentPlan(**plan))
-    two = study(ExperimentPlan(**dict(plan, n_paths=2)))
+    two, two_states = _run_recording_states(study, dict(plan, n_paths=2))
     assert json17(a.report) == json17(b.report)
     assert a.csv_rows == b.csv_rows
-    assert _rows_of_first_paths(a, 2) == _rows_of_first_paths(two, 2)
-    assert len(two.csv_rows) == 2 * len(plan["levels"])
+    assert len(states) == len(two_states)
+    for full, pair in zip(states, two_states):
+        assert np.array_equal(full[:2], pair)
+    if "path_index" in a.csv_header:
+        assert _rows_of_first_paths(a, 2) == _rows_of_first_paths(two, 2)
+        assert len(two.csv_rows) == 2 * len(plan["levels"])
 
 
 def test_import_does_not_load_scipy_stats():

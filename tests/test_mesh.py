@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from sacpde.errors import ValidationError
-from sacpde.mesh_fem import (
-    FemSpace,
-    Field,
-    PeriodicMesh,
-    discrete_laplacian,
-    l2_project,
-    nodal_interpolant,
-    norms,
-    prolongate,
-    prolongation_matrix,
-)
+from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
+
+
+def _cos_interpolant(space):
+    """Nodal values of cos(2 pi x_1) on a unit-period mesh."""
+    return np.cos(2.0 * np.pi * space.mesh.vertices[:, 0])
+
+
+def _norms_sq(space, u):
+    """Squared L2 norm and H1 seminorm of a P1 function."""
+    return u @ (space.mass @ u), u @ (space.stiffness @ u)
 
 
 def test_mesh_counts_1d():
@@ -86,7 +86,7 @@ def test_operator_identities(d, n):
 def test_l2_projection_of_constant_is_exact():
     space = FemSpace(PeriodicMesh(2, 1.0, 4))
     u = l2_project(space, lambda x: np.full(x.shape[:-1], 0.7))
-    np.testing.assert_allclose(u.coeffs, 0.7, atol=1e-12)
+    np.testing.assert_allclose(u, 0.7, atol=1e-12)
 
 
 def test_l2_projection_orthogonality():
@@ -95,7 +95,7 @@ def test_l2_projection_orthogonality():
     g = lambda x: np.exp(np.sin(2.0 * np.pi * x[..., 0]))
     xq = space.physical_quad_points()
     b = space.load_vector(np.asarray(g(xq)))
-    c = l2_project(space, g).coeffs
+    c = l2_project(space, g)
     resid = np.max(np.abs(space.mass @ c - b))
     assert resid <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
@@ -103,10 +103,9 @@ def test_l2_projection_orthogonality():
 def test_interpolant_norms_match_analytic():
     """L2 and H1 norms of the cos interpolant converge to 1/2 and 2 pi^2."""
     space = FemSpace(PeriodicMesh(1, 1.0, 256))
-    u = nodal_interpolant(space, lambda x: np.cos(2.0 * np.pi * x[..., 0]))
-    l2, h1 = norms(space, u)
-    assert l2**2 == pytest.approx(0.5, rel=1e-3)
-    assert h1**2 == pytest.approx(2.0 * np.pi**2, rel=1e-3)
+    l2_sq, h1_sq = _norms_sq(space, _cos_interpolant(space))
+    assert l2_sq == pytest.approx(0.5, rel=1e-3)
+    assert h1_sq == pytest.approx(2.0 * np.pi**2, rel=1e-3)
 
 
 def test_discrete_laplacian_pairing():
@@ -115,13 +114,13 @@ def test_discrete_laplacian_pairing():
     rng = np.random.default_rng(3)
     u = rng.standard_normal(space.mesh.dof_count)
     v = rng.standard_normal(space.mesh.dof_count)
-    w = discrete_laplacian(space, u)
-    lhs = w.coeffs @ (space.mass @ v)
+    w = space.solve_mass(-(space.stiffness @ u))  # lap_h u
+    lhs = w @ (space.mass @ v)
     rhs = -(u @ (space.stiffness @ v))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
     # constants sit in the kernel
-    z = discrete_laplacian(space, np.ones(space.mesh.dof_count))
-    np.testing.assert_allclose(z.coeffs, 0.0, atol=1e-10)
+    z = space.solve_mass(-(space.stiffness @ np.ones(space.mesh.dof_count)))
+    np.testing.assert_allclose(z, 0.0, atol=1e-10)
 
 
 def test_discrete_laplacian_eigenvalue_converges():
@@ -129,9 +128,9 @@ def test_discrete_laplacian_eigenvalue_converges():
     errs = []
     for n in (32, 64):
         space = FemSpace(PeriodicMesh(1, 1.0, n))
-        u = nodal_interpolant(space, lambda x: np.cos(2.0 * np.pi * x[..., 0]))
-        w = discrete_laplacian(space, u)
-        lam = -(w.coeffs @ (space.mass @ u.coeffs)) / (u.coeffs @ (space.mass @ u.coeffs))
+        u = _cos_interpolant(space)
+        w = space.solve_mass(-(space.stiffness @ u))  # lap_h u
+        lam = -(w @ (space.mass @ u)) / (u @ (space.mass @ u))
         errs.append(abs(lam - 4.0 * np.pi**2))
     assert errs[1] < 0.35 * errs[0]  # second order in h
 
@@ -142,9 +141,9 @@ def test_prolongation_preserves_norms(d, nc, nf):
     coarse = FemSpace(PeriodicMesh(d, 1.0, nc))
     fine = FemSpace(PeriodicMesh(d, 1.0, nf))
     rng = np.random.default_rng(11)
-    u = Field(coarse, rng.standard_normal(coarse.mesh.dof_count))
-    uf = prolongate(u, fine)
-    for a, b in zip(norms(coarse, u), norms(fine, uf)):
+    u = rng.standard_normal(coarse.mesh.dof_count)
+    uf = prolongation_matrix(coarse.mesh, fine.mesh) @ u
+    for a, b in zip(_norms_sq(coarse, u), _norms_sq(fine, uf)):
         assert b == pytest.approx(a, rel=1e-12, abs=1e-13)
 
 
@@ -186,8 +185,3 @@ def test_lumped_space_has_diagonal_mass():
     exact = FemSpace(PeriodicMesh(1, 1.0, 8))
     assert exact.exact_twin() is exact
 
-
-def test_field_shape_checked():
-    space = FemSpace(PeriodicMesh(1, 1.0, 8))
-    with pytest.raises(ValidationError):
-        Field(space, np.zeros(7))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sacpde.errors import ValidationError
-from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project, nodal_interpolant
+from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project
 from sacpde.model import (
     dpsi,
     energy,
@@ -52,13 +52,13 @@ def test_potential_of_zero_state():
 def test_potential_of_cos_interpolant():
     """int (cos^2-1)^2/4 = int sin^4/4 = 3/32 on the unit period."""
     space = FemSpace(PeriodicMesh(1, 1.0, 512))
-    u = nodal_interpolant(space, lambda x: np.cos(2 * np.pi * x[..., 0]))
+    u = np.cos(2 * np.pi * space.mesh.vertices[:, 0])  # nodal interpolant
     assert psi_value(space, u) == pytest.approx(3.0 / 32.0, rel=1e-3)
 
 
 def test_energy_split_of_cos():
     space = FemSpace(PeriodicMesh(1, 1.0, 512))
-    u = nodal_interpolant(space, lambda x: np.cos(2 * np.pi * x[..., 0]))
+    u = np.cos(2 * np.pi * space.mesh.vertices[:, 0])  # nodal interpolant
     en = energy(space, u)
     assert en.gradient_part == pytest.approx(np.pi**2, rel=1e-3)
     assert en.potential_part == pytest.approx(3.0 / 32.0, rel=1e-3)
@@ -167,4 +167,4 @@ def test_initial_datum_2d_product_structure():
     space = FemSpace(PeriodicMesh(2, 1.0, 8))
     u = l2_project(space, cos)
     # L2 projection may overshoot the sup norm on coarse meshes, but not wildly
-    assert np.max(np.abs(u.coeffs)) <= 1.2
+    assert np.max(np.abs(u)) <= 1.2

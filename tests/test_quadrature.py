@@ -29,10 +29,10 @@ def test_monomial_integral_hand_values():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("degree", [4])
 def test_rule_exactness(d, degree):
     """The rule integrates every barycentric monomial up to its degree."""
-    pts, wts = simplex_rule(d, degree)
+    pts, wts = simplex_rule(d)
     assert pts.shape[1] == d + 1
     assert wts.sum() == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-14)
@@ -60,18 +60,18 @@ def test_vertex_rule_is_degree_one_only(d):
 
 
 def test_gauss_interval_handles_high_degree():
-    pts, wts = simplex_rule(1, 8)
-    for a in _multi_indices(2, 8):
+    """The interval rule is 3-point Gauss-Legendre, exact to degree 5."""
+    pts, wts = simplex_rule(1)
+    assert len(wts) == 3
+    for a in _multi_indices(2, 5):
         approx = wts @ np.prod(pts ** np.array(a), axis=1)
         assert approx == pytest.approx(monomial_integral(1, a), abs=1e-14)
 
 
 def test_bad_arguments_rejected():
     with pytest.raises(ValidationError):
-        simplex_rule(4, 2)
+        simplex_rule(4)
     with pytest.raises(ValidationError):
-        simplex_rule(2, 0)
-    with pytest.raises(ValidationError):
-        simplex_rule(3, 6)  # only up to degree 4 on tets
+        simplex_rule(0)
     with pytest.raises(ValidationError):
         vertex_rule(0)
