@@ -22,10 +22,10 @@ from .errors import ConfigError, ContractError, SolverError, ValidationError
 from .harness import (
     STUDY_KINDS,
     ExperimentPlan,
-    StudyResult,
     identity_suite,
     increment_study,
     moment_study,
+    simulate_study,
     spatial_rate_study,
     temporal_rate_study,
 )
@@ -37,8 +37,6 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .stepper import run_trajectory
-from .stochastic import sample_path
 
 # name -> (type tag, help); applicability is ALL kinds (harness validation
 # rejects combinations that make no sense for a kind).
@@ -58,8 +56,6 @@ SCHEMA = {
     "spectral_modes": ("int", "mode cut N of the spectral solver"),
     "lumped": ("bool", "use the vertex rule everywhere (mass lumping)"),
     "newton_tol": ("float", "relative residual tolerance of the implicit solve"),
-    "newton_max_iter": ("int", "Newton iteration cap per step"),
-    "damping": ("int", "residual-halving cap per Newton iteration"),
     "j_fine": ("int", "steps of the fine (reference) time grid"),
     "levels": ("levels", "comma list: J values (rate-time), n values (rate-space), J:n pairs (moments)"),
     "reference": ("int", "reference resolution (rate-space; rate-time pins it to j_fine)"),
@@ -198,53 +194,8 @@ def build_plan(kind, config_path=None, flag_values=None, environ=None):
     return ExperimentPlan(kind=kind, **cfg).validate()
 
 
-# -- simulate -------------------------------------------------------------------
-
-
-def run_simulate(plan):
-    sigma = plan.make_sigma()
-    cfg = plan.scheme_config(plan.T / plan.J)
-    if sigma.is_zero:
-        increments = np.zeros(plan.J)
-    else:
-        increments = sample_path(plan.seed, plan.path_index, plan.T, plan.J).increments
-
-    backend = plan.backend(sigma)
-    traj = run_trajectory(
-        backend, cfg, backend.initial(plan.x0_callable()), increments,
-        with_identity=plan.with_identity,
-    )
-    report = {
-        "kind": "simulate",
-        "seed": plan.seed,
-        "solver": plan.solver,
-        "space": backend.metadata(),
-        "steps": plan.J,
-        "k": cfg.k,
-        "energy_initial": float(traj.energies[0]),
-        "energy_terminal": backend.energy(traj.terminal).as_dict(),
-        "energy_max": float(traj.energies.max()),
-        "energy_min": float(traj.energies.min()),
-        "config": plan.config_dict(),
-        "provenance": {
-            "package": f"sacpde {VERSION}",
-            "config_sha256": config_hash(plan.config_dict()),
-        },
-    }
-    if plan.with_identity:
-        report["identity"] = {
-            "max_residual": max(check.residual for check in traj.identity),
-            "passed": all(check.passed for check in traj.identity),
-        }
-    # every row carries the same columns, in order: time and energy split,
-    # increment norm, the backend's step counters, then the identity terms
-    keys = tuple(traj.diagnostics[0])
-    rows = [tuple(row[k] for k in keys) for row in traj.diagnostics]
-    return StudyResult(report, csv_name="diagnostics.csv", csv_header=keys, csv_rows=rows)
-
-
 _RUNNERS = {
-    "simulate": run_simulate,
+    "simulate": simulate_study,
     "rate-time": temporal_rate_study,
     "rate-space": spatial_rate_study,
     "moments": moment_study,

@@ -20,7 +20,7 @@ from .model import initial_datum, make_sigma
 from .reports import VERSION, config_hash
 from .spectral import SpectralBackend, SpectralSpace
 from .stepper import FemBackend, SchemeConfig, run_trajectory
-from .stochastic import coarsen, mc_accumulate, sample_path, total_displacement
+from .stochastic import KEY_MAX, coarsen, mc_accumulate, sample_path, total_displacement
 from . import model
 
 # Not called here (the backends step), but perfbench/layers.py patches
@@ -51,8 +51,6 @@ class ExperimentPlan:
     spectral_modes: int = 128
     lumped: bool = False
     newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    damping: int = 30
     j_fine: int = 4096
     levels: tuple = ()
     reference: int = 0
@@ -77,8 +75,8 @@ class ExperimentPlan:
             bad.append(f"j_fine must be >= 1 (got {self.j_fine})")
         if self.n < 2:
             bad.append(f"n must be >= 2 (got {self.n})")
-        if self.seed < 0:
-            bad.append(f"seed must be nonnegative (got {self.seed})")
+        if not 0 <= self.seed <= KEY_MAX:
+            bad.append(f"seed must be in [0, 2**64 - 1] (got {self.seed})")
         if self.n_paths < 1:
             bad.append(f"n_paths must be >= 1 (got {self.n_paths})")
         elif self.n_paths < 2 and self.kind in (
@@ -96,12 +94,8 @@ class ExperimentPlan:
             bad.append(f"{self.kind} runs on the element solver only (got solver='spectral')")
         if self.spectral_modes < 1:
             bad.append(f"spectral_modes must be >= 1 (got {self.spectral_modes})")
-        if not self.newton_tol > 0:
-            bad.append(f"newton_tol must be positive (got {self.newton_tol})")
-        if self.newton_max_iter < 1:
-            bad.append(f"newton_max_iter must be >= 1 (got {self.newton_max_iter})")
-        if self.damping < 0:
-            bad.append(f"damping must be >= 0 (got {self.damping})")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            bad.append(f"newton_tol must be positive and finite (got {self.newton_tol})")
         if self.T > 0:
             for steps in dict.fromkeys(self._step_counts()):
                 if steps >= 1 and not self.T / steps < 1.0:
@@ -110,8 +104,8 @@ class ExperimentPlan:
                     )
         self._collect(bad, self.make_sigma)
         self._collect(bad, self.x0_callable)
-        if self.path_index < 0:
-            bad.append(f"path_index must be nonnegative (got {self.path_index})")
+        if not 0 <= self.path_index <= KEY_MAX:
+            bad.append(f"path_index must be in [0, 2**64 - 1] (got {self.path_index})")
 
         if self.kind == "rate-time":
             self._validate_temporal_levels(bad)
@@ -190,13 +184,18 @@ class ExperimentPlan:
         if not self.taus:
             bad.append("increments needs a nonempty taus list")
             return
+        times = list(self.taus) + [self.t_anchor]
+        not_times = [t for t in times if not (np.isfinite(t) and t >= 0)]
+        if not_times:
+            bad.append(f"taus and t_anchor must be finite and nonnegative (got {not_times})")
+        # a bad T or j_fine is already reported and makes no step to divide by
+        if not_times or not (self.T > 0 and self.j_fine >= 1):
+            return
         k = self.T / self.j_fine
-        if not 0 <= self.t_anchor:
-            bad.append(f"t_anchor must be nonnegative (got {self.t_anchor})")
-        for tau in list(self.taus) + [self.t_anchor]:
-            steps = tau / k
+        for t in times:
+            steps = t / k
             if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-                bad.append(f"{tau} is not a multiple of the step T/j_fine = {k}")
+                bad.append(f"{t} is not a multiple of the step T/j_fine = {k}")
         if self.t_anchor + max(self.taus) > self.T * (1 + 1e-12):
             bad.append(
                 f"t_anchor + max(tau) = {self.t_anchor + max(self.taus)} exceeds T = {self.T}"
@@ -227,10 +226,10 @@ class ExperimentPlan:
         return cfg
 
     def scheme_config(self, k):
-        return SchemeConfig(k, self.newton_tol, self.newton_max_iter, self.damping)
+        return SchemeConfig(k, self.newton_tol)
 
-    def make_sigma(self, name=None):
-        return make_sigma(self.sigma if name is None else name, self.sigma_amplitude)
+    def make_sigma(self):
+        return make_sigma(self.sigma, self.sigma_amplitude)
 
     def x0_callable(self):
         return initial_datum(self.x0, self.R, self.x0_width)
@@ -343,6 +342,50 @@ def _sup_of_mean(errs_by_time):
     return {"value": float(mean_t[j_star]), "argmax_j": j_star}
 
 
+# -- simulate ------------------------------------------------------------------
+
+
+def simulate_study(plan):
+    """One trajectory of path `path_index`, with per-step diagnostics."""
+    plan.validate()
+    if plan.kind != "simulate":
+        raise ValidationError(f"simulate_study got plan kind {plan.kind!r}")
+    sigma = plan.make_sigma()
+    cfg = plan.scheme_config(plan.T / plan.J)
+    if sigma.is_zero:
+        increments = np.zeros(plan.J)
+    else:
+        increments = sample_path(plan.seed, plan.path_index, plan.T, plan.J).increments
+
+    backend = plan.backend(sigma)
+    traj = run_trajectory(
+        backend, cfg, backend.initial(plan.x0_callable()), increments,
+        with_identity=plan.with_identity,
+    )
+    extra = {
+        "solver": plan.solver,
+        "space": backend.metadata(),
+        "steps": plan.J,
+        "k": cfg.k,
+        "energy_initial": float(traj.energies[0]),
+        "energy_terminal": backend.energy(traj.terminal).as_dict(),
+        "energy_max": float(traj.energies.max()),
+        "energy_min": float(traj.energies.min()),
+    }
+    if plan.with_identity:
+        extra["identity"] = {
+            "max_residual": max(check.residual for check in traj.identity),
+            "passed": all(check.passed for check in traj.identity),
+        }
+    # every row carries the same columns, in order: time and energy split,
+    # increment norm, the backend's step counters, then the identity terms
+    keys = tuple(traj.diagnostics[0])
+    rows = [tuple(row[k] for k in keys) for row in traj.diagnostics]
+    return StudyResult(
+        _report_base(plan, extra), csv_name="diagnostics.csv", csv_header=keys, csv_rows=rows
+    )
+
+
 # -- strong rates ---------------------------------------------------------------
 
 
@@ -360,7 +403,7 @@ class _Level:
     def lifted(self, C):
         if self.lift is None:
             return C
-        return np.array([self.lift @ c for c in C])
+        return (self.lift @ C.T).T
 
 
 def _coupled_errors(plan, ref, ref_cfg, j_ref, levels):

@@ -45,7 +45,7 @@ class Sigma:
     """Scalar multiplicative-noise coefficient u -> sigma(u).
 
     All presets vanish at 0, have bounded first and second derivatives, and
-    are Lipschitz with constant ``amplitude`` (pinned by a sampling test).
+    are Lipschitz with constant ``abs(amplitude)`` (pinned by a sampling test).
     """
 
     def __init__(self, name, amplitude, fn):
@@ -60,15 +60,13 @@ class Sigma:
     def is_zero(self):
         return self.name == "zero"
 
-    @property
-    def lipschitz(self):
-        return abs(self.amplitude)
-
 
 SIGMA_PRESETS = ("zero", "sine", "rational")
 
 
 def make_sigma(name, amplitude=1.0):
+    if not np.isfinite(amplitude):
+        raise ValidationError(f"sigma_amplitude must be finite (got {amplitude!r})")
     if name == "zero":
         return Sigma("zero", 0.0, lambda u: np.zeros_like(u))
     if name == "sine":
@@ -157,9 +155,6 @@ def monotonicity_gap(space, y1, y2, K=1.0):
 
 # -- initial-datum presets ----------------------------------------------------
 
-X0_PRESETS = ("cos", "tanh-layer", "constant:<c>")
-
-
 def initial_datum(preset, R, width=0.1):
     """Named smooth periodic initial data as a callable of positions (..., d).
 
@@ -173,8 +168,8 @@ def initial_datum(preset, R, width=0.1):
             return np.prod(np.cos(2.0 * np.pi * x / R), axis=-1)
         return fn
     if preset == "tanh-layer":
-        if not width > 0:
-            raise ValidationError(f"x0_width must be positive (got {width!r})")
+        if not (np.isfinite(width) and width > 0):
+            raise ValidationError(f"x0_width must be positive and finite (got {width!r})")
         scale = 1.0 / (np.sqrt(2.0) * width)
         def fn(x):
             x = np.asarray(x, dtype=float)
@@ -185,6 +180,8 @@ def initial_datum(preset, R, width=0.1):
             c = float(preset.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad constant initial datum {preset!r}") from None
+        if not np.isfinite(c):
+            raise ValidationError(f"constant initial datum must be finite (got {preset!r})")
         def fn(x):
             x = np.asarray(x, dtype=float)
             return np.full(x.shape[:-1], c)

@@ -155,13 +155,11 @@ def _dense_linsolve(space, k, D, g_row, rhs_row):
     return 0.5 * (sol[N:] + np.conj(sol[N::-1]))
 
 
-def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
+def step_batch(space, sigma, cfg, coeffs, dw):
     """Advance a batch of paths one step; rows are bitwise independent.
 
     coeffs: (P, K) half-spectra, dw: (P,) increments.  Returns
-    (new_coeffs, newton_iters, residual_norms).  linear_only drops the
-    reaction term (single diagonal solve) — a testing hook for the exact
-    per-mode decay factor 1/(1 + k * lambda_m).
+    (new_coeffs, newton_iters, residual_norms).
     """
     C = np.asarray(coeffs, dtype=complex)
     if C.ndim != 2 or C.shape[1] != space.coeff_count:
@@ -175,9 +173,6 @@ def step_batch(space, sigma, cfg, coeffs, dw, linear_only=False):
         rhs0 = C.copy()
     else:
         rhs0 = C + dw[:, None] * space.to_modes(sigma(u_prev))
-    if linear_only:
-        sol = rhs0 / D
-        return sol, np.ones(len(C), dtype=int), np.zeros(len(C))
 
     scale = cfg.newton_tol * (1.0 + space.l2_norm(C))
     y = C.copy()

@@ -34,8 +34,8 @@ class SchemeConfig:
     def __init__(self, k, newton_tol=1e-12, newton_max_iter=50, damping=30):
         if not (np.isfinite(k) and 0.0 < k < 1.0):
             raise ValidationError(f"k must satisfy 0 < k < 1 (got {k!r})")
-        if not newton_tol > 0:
-            raise ValidationError(f"newton_tol must be positive (got {newton_tol!r})")
+        if not (np.isfinite(newton_tol) and newton_tol > 0):
+            raise ValidationError(f"newton_tol must be positive and finite (got {newton_tol!r})")
         if newton_max_iter < 1:
             raise ValidationError(
                 f"newton_max_iter must be >= 1 (got {newton_max_iter!r})"

@@ -21,6 +21,8 @@ from .errors import ValidationError
 
 _CI95 = 1.959963984540054  # standard normal 97.5% quantile
 
+KEY_MAX = 2**64 - 1  # seed and path index form the uint64 Philox key
+
 
 class WienerPath:
     """Scalar Brownian increments on a uniform grid over [0, T]."""
@@ -42,8 +44,8 @@ def sample_path(seed, path_index, T, j_fine):
         raise ValidationError(f"j_fine must be a positive integer (got {j_fine!r})")
     if not np.isfinite(T) or T <= 0:
         raise ValidationError(f"T must be positive (got {T!r})")
-    if seed < 0 or path_index < 0:
-        raise ValidationError("seed and path_index must be nonnegative integers")
+    if not (0 <= seed <= KEY_MAX and 0 <= path_index <= KEY_MAX):
+        raise ValidationError("seed and path_index must be integers in [0, 2**64 - 1]")
     key = np.array([seed, path_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(int(j_fine))
     # top 53 bits, centered: strictly inside (0,1), so ndtri stays finite

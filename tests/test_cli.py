@@ -93,11 +93,13 @@ def test_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
-    "option", ["--spectral-pad", "--quad-degree", "--record-stride"],
-    ids=["spectral-pad", "quad-degree", "record-stride"],
+    "option",
+    ["--spectral-pad", "--quad-degree", "--record-stride", "--newton-max-iter", "--damping"],
+    ids=["spectral-pad", "quad-degree", "record-stride", "newton-max-iter", "damping"],
 )
 def test_removed_option_is_a_usage_error(capsys, option):
-    """The pad factor, quadrature degree and record stride are fixed, not options."""
+    """The pad factor, quadrature degree, record stride and the Newton
+    iteration and halving caps are fixed, not options."""
     with pytest.raises(SystemExit) as exc:
         main(["simulate", option, "2"])
     assert exc.value.code == 2
@@ -119,27 +121,45 @@ def test_bad_flag_value_exits_two(capsys):
         (["increments", "--T", "8192"], ["T/4096 = 2.0 must be below 1"]),
         (["simulate", "--R", "-1"], ["R must be a positive"]),
         (["simulate", "--newton-tol", "-1"], ["newton_tol must be positive"]),
+        (["simulate", "--newton-tol", "inf"], ["newton_tol must be positive and finite"]),
         (["simulate", "--solver", "spectral", "--spectral-modes", "0"],
          ["spectral_modes must be >= 1"]),
-        (["simulate", "--damping", "-1"], ["damping must be >= 0"]),
         (["simulate", "--n", "1"], ["n must be >= 2"]),
         (["rate-space", "--solver", "spectral"], ["rate-space runs on the element solver"]),
         (["moments", "--solver", "spectral"], ["moments runs on the element solver"]),
         (["check", "--solver", "spectral"], ["check runs on the element solver"]),
         (["simulate", "--sigma", "foo", "--x0", "bar"], ["sigma must be one of", "x0 must be one of"]),
+        (["increments", "--j-fine", "0"], ["j_fine must be >= 1"]),
+        (["increments", "--T", "0"], ["T must be positive"]),
+        (["increments", "--t-anchor", "inf"], ["t_anchor must be finite and nonnegative"]),
+        (["increments", "--taus=-0.0625,0.03125"], ["taus and t_anchor must be finite"]),
+        (["increments", "--taus=nan,0.03125"], ["taus and t_anchor must be finite"]),
+        (["simulate", "--seed", str(2**64)], ["seed must be in [0, 2**64 - 1]"]),
+        (["simulate", "--path-index", str(2**64)], ["path_index must be in [0, 2**64 - 1]"]),
+        (["simulate", "--sigma-amplitude", "nan"], ["sigma_amplitude must be finite"]),
+        (["simulate", "--sigma-amplitude", "inf"], ["sigma_amplitude must be finite"]),
+        (["simulate", "--x0", "constant:nan"], ["constant initial datum must be finite"]),
+        (["simulate", "--x0", "constant:inf"], ["constant initial datum must be finite"]),
+        (["simulate", "--x0", "tanh-layer", "--x0-width", "inf"],
+         ["x0_width must be positive and finite"]),
         (
             ["simulate", "--T", "2", "--J", "1", "--R", "-1", "--newton-tol", "-1",
-             "--damping", "-1", "--n", "1", "--newton-max-iter", "0"],
-            ["must be below 1", "R must be", "newton_tol must", "damping must",
-             "n must be >= 2", "newton_max_iter must"],
+             "--n", "1", "--sigma", "foo"],
+            ["must be below 1", "R must be", "newton_tol must", "n must be >= 2",
+             "sigma must be one of"],
         ),
     ],
     ids=[
         "level-not-dividing", "step-not-below-one", "level-step-not-below-one",
         "fine-step-not-below-one",
-        "negative-R", "negative-newton-tol", "no-spectral-modes",
-        "negative-damping", "one-cell-mesh", "spectral-rate-space", "spectral-moments",
-        "spectral-check", "unknown-presets", "all-at-once",
+        "negative-R", "negative-newton-tol", "infinite-newton-tol", "no-spectral-modes",
+        "one-cell-mesh", "spectral-rate-space", "spectral-moments",
+        "spectral-check", "unknown-presets",
+        "zero-fine-steps", "zero-horizon", "infinite-anchor", "negative-tau",
+        "nan-tau", "seed-above-key", "path-index-above-key", "nan-sigma-amplitude",
+        "infinite-sigma-amplitude", "nan-constant-x0", "infinite-constant-x0",
+        "infinite-x0-width",
+        "all-at-once",
     ],
 )
 def test_invalid_plan_exits_two(capsys, argv, problems):

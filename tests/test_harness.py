@@ -1,5 +1,6 @@
 """Study orchestration: coupling, rate fits, determinism, and the check suite."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,13 +8,16 @@ import sys
 import numpy as np
 import pytest
 
+from sacpde import cli, harness, stepper
 from sacpde.errors import ValidationError
 from sacpde.harness import (
+    STUDY_KINDS,
     ExperimentPlan,
     fit_loglog,
     identity_suite,
     increment_study,
     moment_study,
+    simulate_study,
     spatial_rate_study,
     temporal_rate_study,
 )
@@ -189,9 +193,25 @@ def test_reports_are_byte_identical_across_runs_and_partitions(plan):
 
 def test_import_does_not_load_scipy_stats():
     """scipy.stats costs about a second of start-up; nothing may need it."""
-    code = "import sacpde, sys; assert 'scipy.stats' not in sys.modules"
+    code = "import sacpde.cli, sys; assert 'scipy.stats' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    """perfbench/layers.py swaps functions where the studies look them up; a
+    name that leaves its module makes the traced benchmark raise KeyError."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    step, spla, runners = stepper.step, stepper.spla, dict(cli._RUNNERS)
+    for kind in STUDY_KINDS:
+        result, metrics = layers.Tracer().run(kind, lambda: 0)
+        assert result == 0 and set(metrics) == set(layers.METRICS)
+    assert harness.step is step
+    assert stepper.spla is spla
+    assert cli._RUNNERS == runners
 
 
 def test_spatial_rate_smoke():
@@ -299,3 +319,5 @@ def test_study_kind_dispatch_is_checked():
     plan = ExperimentPlan(kind="rate-time", levels=(32,), j_fine=256, n_paths=2)
     with pytest.raises(ValidationError):
         spatial_rate_study(plan)
+    with pytest.raises(ValidationError):
+        simulate_study(plan)

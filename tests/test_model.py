@@ -97,7 +97,7 @@ def test_sigma_load_constant_state():
 
 def test_sigma_presets():
     zero = make_sigma("zero")
-    assert zero.is_zero and zero.lipschitz == 0.0
+    assert zero.is_zero and zero.amplitude == 0.0
     np.testing.assert_allclose(zero(np.linspace(-3, 3, 7)), 0.0)
 
     for name in ("sine", "rational"):
@@ -107,7 +107,7 @@ def test_sigma_presets():
         # Lipschitz constant = amplitude, verified by dense sampling
         u = np.linspace(-6, 6, 2001)
         slopes = np.abs(np.diff(sig(u)) / np.diff(u))
-        assert slopes.max() <= sig.lipschitz + 1e-9
+        assert slopes.max() <= abs(sig.amplitude) + 1e-9
 
     with pytest.raises(ValidationError):
         make_sigma("white")

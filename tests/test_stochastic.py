@@ -95,6 +95,11 @@ def test_sample_path_rejects_bad_arguments():
         sample_path(1, 0, T=-1.0, j_fine=8)
     with pytest.raises(ValidationError):
         sample_path(-1, 0, T=1.0, j_fine=8)
+    with pytest.raises(ValidationError):
+        sample_path(2**64, 0, T=1.0, j_fine=8)
+    with pytest.raises(ValidationError):
+        sample_path(0, 2**64, T=1.0, j_fine=8)
+    sample_path(2**64 - 1, 2**64 - 1, T=1.0, j_fine=8)  # the largest uint64 key
 
 
 def test_mc_accumulate_hand_values():
