@@ -21,27 +21,11 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
+from . import stepper
 from .errors import StepFailure, ValidationError
 from .model import EnergyBreakdown, f_mixed, f_mixed_dy
-from .stepper import IdentityCheck
 
 _INNER_CAP = 400
-
-
-def _row_dot(values, w):
-    """Weighted reduction over the last axis, one fixed-order dot per row.
-
-    A single 2-d matrix-vector product may pick a different BLAS kernel (and
-    accumulation order) depending on the batch height, which would make the
-    per-path statistics depend on which paths share a batch.
-    """
-    v = np.asarray(values)
-    if v.ndim == 1:
-        return np.dot(v, w)
-    out = np.empty(v.shape[:-1])
-    for idx in np.ndindex(v.shape[:-1]):
-        out[idx] = np.dot(v[idx], w)
-    return out
 
 
 class SpectralSpace:
@@ -75,17 +59,18 @@ class SpectralSpace:
     def to_modes(self, values):
         return np.fft.rfft(values, axis=-1)[..., : self.coeff_count] / self.grid_size
 
+    # row sums, not a 2-d `@`/np.dot, whose BLAS kernel may depend on batch height
     def l2_norm(self, coeffs):
         c = np.asarray(coeffs)
-        return np.sqrt(_row_dot(np.real(c * np.conj(c)), self._l2w))
+        return np.sqrt((np.real(c * np.conj(c)) * self._l2w).sum(axis=-1))
 
     def h1_seminorm(self, coeffs):
         c = np.asarray(coeffs)
-        return np.sqrt(_row_dot(np.real(c * np.conj(c)) * self.eigenvalues, self._l2w))
+        return np.sqrt((np.real(c * np.conj(c)) * self.eigenvalues * self._l2w).sum(axis=-1))
 
     def inner(self, a, b):
         """Real L2 inner product of the two represented functions."""
-        return _row_dot(np.real(np.asarray(a) * np.conj(b)), self._l2w)
+        return (np.real(np.asarray(a) * np.conj(b)) * self._l2w).sum(axis=-1)
 
     def grid_integral(self, values):
         """Trapezoidal integral over the period; exact below the grid bandwidth."""
@@ -179,14 +164,21 @@ def step_batch(space, sigma, cfg, coeffs, dw):
     u = u_prev.copy()
     Fv = _residual(space, y, u, u_prev, rhs0, D, k)
     rnorm = space.l2_norm(Fv)
+    bad = ~(np.isfinite(rnorm) & np.isfinite(scale))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise StepFailure(
+            f"spectral Newton residual or its tolerance is not finite (batch row {row})",
+            residual=float(rnorm[row]),
+        )
     iters = np.zeros(len(C), dtype=int)
     open_rows = np.arange(len(C))[rnorm > scale]
     sweeps = 0
     while len(open_rows):
-        if sweeps >= cfg.newton_max_iter:
+        if sweeps >= stepper.NEWTON_MAX_ITER:
             worst = open_rows[np.argmax(rnorm[open_rows])]
             raise StepFailure(
-                f"spectral Newton did not converge in {cfg.newton_max_iter} "
+                f"spectral Newton did not converge in {stepper.NEWTON_MAX_ITER} "
                 f"iterations (batch row {worst}, residual {rnorm[worst]:.3e})",
                 residual=float(rnorm[worst]),
             )
@@ -200,7 +192,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
         F_new = np.empty_like(delta)
         u_new = np.empty((len(open_rows), space.grid_size))
         r_new = np.empty(len(open_rows))
-        for _ in range(cfg.damping + 1):
+        for _ in range(stepper.DAMPING + 1):
             rows = open_rows[pending]
             trial = y[rows] + lam[pending, None] * delta[pending]
             u_trial = space.to_grid(trial)
@@ -261,7 +253,7 @@ def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
         rhs = 0.0
     else:
         rhs = dw * float(space.inner(space.to_modes(sigma(up)), w))
-    return IdentityCheck(abs(lhs - rhs), lhs, rhs)
+    return stepper.IdentityCheck(abs(lhs - rhs), lhs, rhs)
 
 
 class SpectralBackend:

@@ -23,29 +23,26 @@ from .model import energy, f_mixed_dy, nonlinear_load, sigma_load
 IDENTITY_ATOL = 1e-10
 IDENTITY_RTOL = 1e-10
 
+# Caps of both Newton solvers, read at call time: iterations per step, and
+# step-length halvings per iteration.
+NEWTON_MAX_ITER = 50
+DAMPING = 30
+
 
 class SchemeConfig:
-    """Time step and nonlinear-solver knobs.
+    """Time step and Newton tolerance.
 
     k must be below 1: the implicit step is uniquely solvable there (the
     two-level reaction term is one-sided Lipschitz with constant 1).
     """
 
-    def __init__(self, k, newton_tol=1e-12, newton_max_iter=50, damping=30):
+    def __init__(self, k, newton_tol=1e-12):
         if not (np.isfinite(k) and 0.0 < k < 1.0):
             raise ValidationError(f"k must satisfy 0 < k < 1 (got {k!r})")
         if not (np.isfinite(newton_tol) and newton_tol > 0):
             raise ValidationError(f"newton_tol must be positive and finite (got {newton_tol!r})")
-        if newton_max_iter < 1:
-            raise ValidationError(
-                f"newton_max_iter must be >= 1 (got {newton_max_iter!r})"
-            )
-        if damping < 0:
-            raise ValidationError(f"damping must be >= 0 (got {damping!r})")
         self.k = float(k)
         self.newton_tol = float(newton_tol)
-        self.newton_max_iter = int(newton_max_iter)
-        self.damping = int(damping)
 
 
 class StepDiagnostics:
@@ -75,7 +72,8 @@ def step(space, sigma, cfg, yp, dw):
 
     Newton starts from the previous value, damps by halving the update until
     the residual norm decreases, and falls back to a lagged-diffusion sweep
-    if the Jacobian factorization fails.  Non-convergence raises StepFailure.
+    if the Jacobian factorization fails.  Non-convergence, or a first residual
+    or tolerance that is not finite, raises StepFailure.
     """
     k = cfg.k
     M, A = space.mass, space.stiffness
@@ -92,6 +90,8 @@ def step(space, sigma, cfg, yp, dw):
     y = yp.copy()
     Fv, yq = residual(y)
     rnorm = np.linalg.norm(Fv)
+    if not (np.isfinite(rnorm) and np.isfinite(scale)):
+        raise StepFailure("Newton residual or its tolerance is not finite", residual=rnorm)
     iters = 0
     halvings_total = 0
     picard = 0
@@ -105,9 +105,9 @@ def step(space, sigma, cfg, yp, dw):
             if polish_left == 0 or rnorm == 0.0:
                 break
             polish_left -= 1
-        elif iters >= cfg.newton_max_iter:
+        elif iters >= NEWTON_MAX_ITER:
             raise StepFailure(
-                f"Newton did not converge in {cfg.newton_max_iter} iterations "
+                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {rnorm:.3e}, target {scale:.3e})",
                 residual=rnorm,
             )
@@ -126,7 +126,7 @@ def step(space, sigma, cfg, yp, dw):
 
         lam = 1.0
         accepted = False
-        for _ in range(cfg.damping + 1):
+        for _ in range(DAMPING + 1):
             y_trial = y + lam * delta
             F_trial, yq_trial = residual(y_trial)
             r_trial = np.linalg.norm(F_trial)
@@ -181,7 +181,8 @@ class FemBackend:
         return out, counters
 
     def _quadratic_form(self, matrix, D):
-        return np.array([d @ (matrix @ d) for d in D])
+        # csr @ dense gives each column the bits of a single matvec
+        return (D * (matrix @ D.T).T).sum(axis=-1)
 
     def l2_sq(self, D):
         return self._quadratic_form(self.space.mass, D)

@@ -91,7 +91,7 @@ def total_displacement(path):
 
 
 class McStats:
-    """Single-pass sample statistics: n, mean, variance (ddof=1), se, 95% CI."""
+    """Sample statistics: n, mean, variance (ddof=1), se, 95% CI."""
 
     __slots__ = ("n", "mean", "variance", "se", "ci95")
 
@@ -115,18 +115,10 @@ class McStats:
 
 
 def mc_accumulate(samples):
-    """Welford accumulation over an iterable of scalars."""
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    for x in samples:
-        x = float(x)
-        n += 1
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
-    if n < 2:
+    """Sample statistics of a sequence of scalars."""
+    x = np.asarray(samples, dtype=float)
+    if len(x) < 2:
         raise ValidationError(
-            f"mc_accumulate needs at least two samples for a variance (got {n})"
+            f"mc_accumulate needs at least two samples for a variance (got {len(x)})"
         )
-    return McStats(n, mean, m2 / (n - 1))
+    return McStats(len(x), x.mean(), x.var(ddof=1))

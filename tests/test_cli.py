@@ -242,6 +242,31 @@ def test_check_with_loose_newton_fails_with_json_line(capsys):
     assert payload["kind"] == "check"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--levels", "4:4,8:8", "--n-paths", "2"],
+        ["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
+         "--n-paths", "2"],
+    ],
+    ids=["fem-moments", "spectral-rate-time"],
+)
+def test_overflowing_state_is_a_step_failure(tmp_path, capsys, argv):
+    """A datum whose norm overflows fails the first step; it is no nan report."""
+    out_dir = tmp_path / "run"
+    rc = main(argv + ["--x0", "constant:1e200", "-o", str(out_dir)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["failed"] is True
+    assert payload["error"] == "StepFailure"
+    assert "nan" not in captured.out.lower()
+    assert "Traceback" not in captured.err
+    assert not (out_dir / "report.json").exists()
+
+
 def test_spectral_simulate_smoke(tmp_path):
     rc = main([
         "simulate", "--solver", "spectral", "--spectral-modes", "16",

@@ -21,8 +21,10 @@ from sacpde.harness import (
     spatial_rate_study,
     temporal_rate_study,
 )
+from sacpde.mesh_fem import FemSpace, PeriodicMesh
+from sacpde.model import initial_datum
 from sacpde.reports import json17
-from sacpde.spectral import SpectralBackend
+from sacpde.spectral import SpectralBackend, SpectralSpace
 from sacpde.stepper import FemBackend
 
 
@@ -189,6 +191,31 @@ def test_reports_are_byte_identical_across_runs_and_partitions(plan):
     if "path_index" in a.csv_header:
         assert _rows_of_first_paths(a, 2) == _rows_of_first_paths(two, 2)
         assert len(two.csv_rows) == 2 * len(plan["levels"])
+
+
+_NORM_BACKENDS = {
+    **{f"spectral-N{N}": lambda N=N: SpectralBackend(SpectralSpace(1.0, N), None)
+       for N in (8, 64, 512)},
+    **{f"fem-d{d}-n{n}": lambda d=d, n=n: FemBackend(FemSpace(PeriodicMesh(d, 1.0, n)), None)
+       for d, n in ((1, 32), (2, 8), (3, 4))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NORM_BACKENDS))
+def test_row_norms_do_not_depend_on_the_batch(name):
+    """Each row of a (P, K) batch has the bits of the same row measured alone."""
+    backend = _NORM_BACKENDS[name]()
+    K = backend.initial(initial_datum("cos", 1.0)).shape[-1]
+    rng = np.random.default_rng(3)
+    for P in (1, 2, 5, 64):
+        D = rng.standard_normal((P, K))
+        if name.startswith("spectral"):
+            D = D + 1j * rng.standard_normal((P, K))
+            D[:, 0] = D[:, 0].real
+        for norm in (backend.l2_sq, backend.h1_sq, backend.l2_norm):
+            batch = norm(D)
+            for i in range(P):
+                assert np.array_equal(batch[i : i + 1], norm(D[i : i + 1])), (norm, P, i)
 
 
 def test_import_does_not_load_scipy_stats():

@@ -7,6 +7,7 @@ from sacpde import stepper
 from sacpde.errors import StepFailure, ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project
 from sacpde.model import energy, initial_datum, make_sigma
+from sacpde.spectral import SpectralSpace, step_batch
 from sacpde.stepper import (
     IDENTITY_ATOL,
     IDENTITY_RTOL,
@@ -32,8 +33,6 @@ def test_scheme_config_validation():
         SchemeConfig(k=-0.1)
     with pytest.raises(ValidationError):
         SchemeConfig(k=0.01, newton_tol=0.0)
-    with pytest.raises(ValidationError):
-        SchemeConfig(k=0.01, newton_max_iter=0)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
@@ -195,12 +194,19 @@ def test_zero_step_trajectory():
     assert np.array_equal(traj.terminal, y0)
 
 
-def test_step_failure_raises():
+def test_step_failure_raises(monkeypatch):
+    """Both steppers read the Newton caps at call time."""
+    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(stepper, "DAMPING", 0)
     space = _space(n=16)
-    cfg = SchemeConfig(k=0.9, newton_tol=1e-14, newton_max_iter=1, damping=0)
+    cfg = SchemeConfig(k=0.9, newton_tol=1e-14)
     y0 = np.full(16, 3.0)
     with pytest.raises(StepFailure):
         step(space, ZERO, cfg, y0, 0.0)
+    C = np.zeros((1, 9), dtype=complex)
+    C[0, 0] = 3.0
+    with pytest.raises(StepFailure):
+        step_batch(SpectralSpace(1.0, 8), ZERO, cfg, C, np.zeros(1))
 
 
 def test_three_dimensional_smoke():
