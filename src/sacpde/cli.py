@@ -58,7 +58,7 @@ SCHEMA = {
     "newton_tol": ("float", "relative residual tolerance of the implicit solve"),
     "j_fine": ("int", "steps of the fine (reference) time grid"),
     "levels": ("levels", "comma list: J values (rate-time), n values (rate-space), J:n pairs (moments)"),
-    "reference": ("int", "reference resolution (rate-space; rate-time pins it to j_fine)"),
+    "reference": ("int", "reference mesh cells per axis (rate-space only)"),
     "t_anchor": ("float", "anchor time of the increment study"),
     "taus": ("floats", "comma list of time offsets for the increment study"),
     "path_index": ("int", "which path simulate integrates"),

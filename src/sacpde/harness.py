@@ -134,10 +134,10 @@ class ExperimentPlan:
         return self
 
     def _validate_temporal_levels(self, bad):
-        ref = self.reference or self.j_fine
-        if ref != self.j_fine:
+        if self.reference:
             bad.append(
-                f"temporal reference is the fine grid: reference={ref} != j_fine={self.j_fine}"
+                f"rate-time takes no reference; its reference is the j_fine grid "
+                f"(got reference={self.reference})"
             )
         if not self.levels:
             bad.append("rate-time needs at least one level")

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import StepFailure, ValidationError
-from .mesh_fem import l2_project
+from .mesh_fem import LU_ORDERING, l2_project
 from .model import energy, f_mixed_dy, nonlinear_load, sigma_load
 
 IDENTITY_ATOL = 1e-10
@@ -56,14 +56,17 @@ class StepDiagnostics:
 
 
 def _solve_linear(space, J, rhs):
-    """Direct factorization for d <= 2; diagonally preconditioned CG for d = 3."""
+    """Solve J x = rhs for the CSC system matrix J: sparse LU with the
+    LU_ORDERING column ordering for d <= 2; diagonally preconditioned CG for
+    d = 3, redone by the same LU if CG reports failure."""
     if space.mesh.d < 3:
-        return spla.splu(J.tocsc()).solve(rhs)
+        return spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
     diag = J.diagonal()
     precond = spla.LinearOperator(J.shape, lambda v: v / diag)
-    x, info = spla.cg(J, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
+    # J is symmetric, and J.T is its CSR view: faster products than CSC, no copy
+    x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
     if info != 0:
-        return spla.splu(J.tocsc()).solve(rhs)
+        return spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
     return x
 
 
@@ -122,7 +125,7 @@ def step(space, sigma, cfg, yp, dw):
             picard += 1
             b = space.load_vector(0.5 * (yq * yq - 1.0) * (yq + zq))
             mka = (M + k * A).tocsc()
-            delta = spla.splu(mka).solve(rhs0 - k * b) - y
+            delta = spla.splu(mka, permc_spec=LU_ORDERING).solve(rhs0 - k * b) - y
 
         lam = 1.0
         accepted = False
@@ -168,11 +171,16 @@ class FemBackend:
         return l2_project(self.space, x0)
 
     def step(self, C, dw, cfg):
-        """Returns the new (P, K) states and per-row StepDiagnostics arrays."""
+        """Returns the new (P, K) states and per-row StepDiagnostics arrays.
+
+        A row's StepFailure is raised again with its batch row named."""
         out = np.empty_like(C)
         diags = []
         for i in range(len(C)):
-            out[i], diag = step(self.space, self.sigma, cfg, C[i], dw[i])
+            try:
+                out[i], diag = step(self.space, self.sigma, cfg, C[i], dw[i])
+            except StepFailure as exc:
+                raise StepFailure(f"{exc} (batch row {i})", residual=exc.residual) from exc
             diags.append(diag)
         counters = {
             name: np.array([getattr(d, name) for d in diags])

@@ -125,6 +125,7 @@ def test_bad_flag_value_exits_two(capsys):
         (["simulate", "--solver", "spectral", "--spectral-modes", "0"],
          ["spectral_modes must be >= 1"]),
         (["simulate", "--n", "1"], ["n must be >= 2"]),
+        (["rate-time", "--reference", "4096"], ["rate-time takes no reference"]),
         (["rate-space", "--solver", "spectral"], ["rate-space runs on the element solver"]),
         (["moments", "--solver", "spectral"], ["moments runs on the element solver"]),
         (["check", "--solver", "spectral"], ["check runs on the element solver"]),
@@ -153,7 +154,7 @@ def test_bad_flag_value_exits_two(capsys):
         "level-not-dividing", "step-not-below-one", "level-step-not-below-one",
         "fine-step-not-below-one",
         "negative-R", "negative-newton-tol", "infinite-newton-tol", "no-spectral-modes",
-        "one-cell-mesh", "spectral-rate-space", "spectral-moments",
+        "one-cell-mesh", "rate-time-reference", "spectral-rate-space", "spectral-moments",
         "spectral-check", "unknown-presets",
         "zero-fine-steps", "zero-horizon", "infinite-anchor", "negative-tau",
         "nan-tau", "seed-above-key", "path-index-above-key", "nan-sigma-amplitude",

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sacpde.errors import ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
+from sacpde.model import f_mixed_dy, initial_datum
 
 
 def _cos_interpolant(space):
@@ -81,6 +83,52 @@ def test_operator_identities(d, n):
     # both operators are symmetric
     assert abs(space.mass - space.mass.T).max() < 1e-15
     assert abs(space.stiffness - space.stiffness.T).max() < 1e-12
+
+
+def _pattern(*matrices):
+    """CSC (indptr, indices) of the stored entries of the matrices' sum,
+    explicit zeros included."""
+    coo = [m.tocoo() for m in matrices]
+    rows = np.concatenate([c.row for c in coo])
+    cols = np.concatenate([c.col for c in coo])
+    union = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=matrices[0].shape)
+    return union.indptr, union.indices
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
+    """system_matrix is a canonical CSC matrix on the pattern of M + A, equal
+    to the COO reference assembly: bit for bit at d = 1, where no entry sums
+    more than two terms, and to 1e-15 relative where the summation order of
+    duplicate entries differs."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    y = l2_project(space, initial_datum("cos", 1.0))
+    w = f_mixed_dy(space.element_values(y), space.element_values(0.9 * y))
+    k = 0.01
+    J = space.system_matrix(k, w)
+    assert J.format == "csc"
+    assert J.has_canonical_format
+    indptr, indices = _pattern(space.mass, space.stiffness)
+    assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
+
+    wdata = np.tensordot(w, space._wjk, axes=(1, 0)) * space.mesh.volumes[:, None, None]
+    ref = space._from_data(
+        space._mass_data + k * (space._stiff_data + wdata.ravel())
+    ).tocsc()
+    assert np.array_equal(ref.indptr, indptr) and np.array_equal(ref.indices, indices)
+    if d == 1:
+        assert np.array_equal(J.data, ref.data)
+    else:
+        np.testing.assert_allclose(J.data, ref.data, rtol=1e-15, atol=0.0)
+
+    # the pattern is shared by every system matrix and cannot be changed
+    other = space.system_matrix(0.5, w)
+    assert np.shares_memory(other.indices, J.indices)
+    with pytest.raises(ValueError):
+        other.indices[0] = 0
+    with pytest.raises(ValueError):
+        other.indptr[-1] = 0
 
 
 def test_l2_projection_of_constant_is_exact():

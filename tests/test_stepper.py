@@ -209,6 +209,20 @@ def test_step_failure_raises(monkeypatch):
         step_batch(SpectralSpace(1.0, 8), ZERO, cfg, C, np.zeros(1))
 
 
+def test_fem_step_failure_names_the_batch_row(monkeypatch):
+    """A row's StepFailure leaves FemBackend.step with its batch row named
+    and its residual kept; a row that needs no iteration passes."""
+    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 0)
+    space = _space(n=16)
+    backend = FemBackend(space, make_sigma("sine", 0.5))
+    cfg = SchemeConfig(k=0.01)
+    C = np.stack([np.zeros(16), backend.initial(initial_datum("cos", 1.0))])
+    with pytest.raises(StepFailure, match=r"in 0 iterations .*\(batch row 1\)$") as exc:
+        backend.step(C, np.array([0.0, 0.05]), cfg)
+    assert exc.value.residual > 0
+    assert exc.value.residual == exc.value.__cause__.residual
+
+
 def test_three_dimensional_smoke():
     """The d=3 CG path advances a short trajectory and dissipates."""
     space = _space(n=4, d=3)
@@ -276,3 +290,35 @@ def test_failed_cg_falls_back_to_lu(monkeypatch):
     assert diag.picard_fallbacks == 0
     np.testing.assert_allclose(y1, plain, rtol=0.0, atol=1e-14)
     assert energy_identity_residual(space, sig, y0, y1, cfg.k, 0.05).passed
+
+
+@pytest.mark.parametrize("d,n", [(2, 32), (3, 8)])
+def test_lu_ordering_reduces_fill(monkeypatch, d, n):
+    """The cached mass LU and a Newton LU each have fewer L+U entries than
+    SuperLU's default ordering gives for the same matrix.  At d = 3 CG is
+    made to fail, so Newton reaches the LU fallback."""
+    space = _space(n=n, d=d)
+    sig = make_sigma("sine", 0.5)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    splu = stepper.spla.splu
+    newton = []
+
+    def recording_splu(J, *args, **kwargs):
+        newton.append((J, splu(J, *args, **kwargs)))
+        return newton[-1][1]
+
+    def failing_cg(J, rhs, **kwargs):
+        return np.zeros_like(rhs), 1
+
+    monkeypatch.setattr(stepper.spla, "splu", recording_splu)
+    if d == 3:
+        monkeypatch.setattr(stepper.spla, "cg", failing_cg)
+    step(space, sig, SchemeConfig(k=0.01), y0, 0.05)
+    monkeypatch.undo()
+
+    def fill(lu):
+        return lu.L.nnz + lu.U.nnz
+
+    J, lu = newton[0]
+    assert fill(lu) < fill(splu(J))
+    assert fill(space._mass_lu) < fill(splu(space.mass.tocsc()))
