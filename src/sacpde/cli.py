@@ -2,10 +2,11 @@
 
 Subcommands: simulate, rate-time, rate-space, moments, increments, check.
 Settings merge in precedence order
-    built-in defaults < config file (--config) < SAC_* environment < flags,
-and every artifact a run writes (config.txt, report.json, the per-sample
-CSV, provenance.txt) is deterministic: rerunning the same configuration
-reproduces the same bytes.
+    built-in defaults < config file (--config) < flags.
+Every artifact a run writes (config.txt, report.json, the per-sample CSV)
+is deterministic: rerunning the same configuration reproduces the same
+bytes.  config.txt is itself a --config file for the same subcommand, so
+`sacpde KIND --config DIR/config.txt` replays a run.
 
 Exit codes: 0 success, 1 a numerical contract failed (a machine-readable
 JSON line is printed), 2 usage or configuration error.
@@ -29,14 +30,7 @@ from .harness import (
     spatial_rate_study,
     temporal_rate_study,
 )
-from .reports import (
-    VERSION,
-    config_echo_text,
-    config_hash,
-    json17,
-    write_csv,
-    write_json,
-)
+from .reports import VERSION, csv_cell, json17, write_csv, write_json
 
 # name -> (type tag, help); applicability is ALL kinds (harness validation
 # rejects combinations that make no sense for a kind).
@@ -139,8 +133,25 @@ def _parse_value(key, raw, kind, where):
         raise ConfigError(f"{where}: bad value for {key}: {raw!r} ({exc})") from None
 
 
+def _format_value(value):
+    """The inverse of _parse_value: comma lists, moments levels as J:n."""
+    if not isinstance(value, (list, tuple)):
+        return csv_cell(value)
+    return ",".join(
+        ":".join(map(csv_cell, v)) if isinstance(v, (list, tuple)) else csv_cell(v)
+        for v in value
+    )
+
+
+def config_text(cfg):
+    """The resolved settings as the `key = value` lines load_config_file reads."""
+    return "".join(f"{key} = {_format_value(cfg[key])}\n" for key in sorted(cfg))
+
+
 def load_config_file(path, kind):
-    """Flat `key = value` file; `#` comments.  All problems reported at once."""
+    """Flat `key = value` file; `#` comments.  All problems reported at once.
+
+    A `kind` line, as config_text writes it, must name the subcommand run."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -156,30 +167,24 @@ def load_config_file(path, kind):
         key = key.strip().replace("-", "_")
         if not sep or not key:
             issues.append(f"{path}:{lineno}: expected `key = value`, got {line.strip()!r}")
-            continue
-        if key not in SCHEMA:
+        elif key == "kind":
+            if raw.strip() != kind:
+                issues.append(
+                    f"{path}:{lineno}: config file is for {raw.strip()!r}, not {kind!r}"
+                )
+        elif key not in SCHEMA:
             issues.append(f"{path}:{lineno}: unknown key {key!r}")
-            continue
-        try:
-            out[key] = _parse_value(key, raw, kind, f"{path}:{lineno}")
-        except ConfigError as exc:
-            issues.append(str(exc))
+        else:
+            try:
+                out[key] = _parse_value(key, raw, kind, f"{path}:{lineno}")
+            except ConfigError as exc:
+                issues.append(str(exc))
     if issues:
         raise ConfigError("\n".join(issues))
     return out
 
 
-def env_overrides(kind, environ=None):
-    environ = os.environ if environ is None else environ
-    out = {}
-    for key in SCHEMA:
-        name = "SAC_" + key.upper()
-        if name in environ:
-            out[key] = _parse_value(key, environ[name], kind, name)
-    return out
-
-
-def build_plan(kind, config_path=None, flag_values=None, environ=None):
+def build_plan(kind, config_path=None, flag_values=None):
     cfg = {
         f.name: f.default
         for f in fields(ExperimentPlan)
@@ -188,7 +193,6 @@ def build_plan(kind, config_path=None, flag_values=None, environ=None):
     cfg.update(KIND_DEFAULTS.get(kind, {}))
     if config_path:
         cfg.update(load_config_file(config_path, kind))
-    cfg.update(env_overrides(kind, environ))
     for key, raw in (flag_values or {}).items():
         cfg[key] = _parse_value(key, raw, kind, "--" + key.replace("_", "-"))
     return ExperimentPlan(kind=kind, **cfg).validate()
@@ -206,16 +210,11 @@ _RUNNERS = {
 
 def write_artifacts(outdir, plan, result):
     os.makedirs(outdir, exist_ok=True)
-    cfg = plan.config_dict()
     with open(os.path.join(outdir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_echo_text(cfg))
+        fh.write(config_text(plan.config_dict()))
     write_json(os.path.join(outdir, "report.json"), result.report)
     if result.csv_name:
         write_csv(os.path.join(outdir, result.csv_name), result.csv_header, result.csv_rows)
-    with open(os.path.join(outdir, "provenance.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"package: sacpde {VERSION}\n")
-        fh.write(f"config_sha256: {config_hash(cfg)}\n")
-        fh.write(f"seed: {plan.seed}\n")
 
 
 def _fit_line(name, fit):
@@ -289,7 +288,7 @@ def build_parser():
         p.add_argument("--config", metavar="FILE", help="flat key = value settings file")
         p.add_argument(
             "-o", "--output-dir", metavar="DIR",
-            help="write config.txt, report.json, CSV and provenance.txt here",
+            help="write config.txt (a --config file), report.json and the CSV here",
         )
         for key, (tag, help_text) in SCHEMA.items():
             p.add_argument(

@@ -108,9 +108,18 @@ class ExperimentPlan:
             bad.append(f"path_index must be in [0, 2**64 - 1] (got {self.path_index})")
 
         if self.kind == "rate-time":
-            self._validate_temporal_levels(bad)
+            if self.reference:
+                bad.append(
+                    f"rate-time takes no reference; its reference is the j_fine grid "
+                    f"(got reference={self.reference})"
+                )
+            self._validate_ladder(bad, self.j_fine, "j_fine", 8)
         elif self.kind == "rate-space":
-            self._validate_spatial_levels(bad)
+            if self.reference < 2:
+                bad.append(f"rate-space needs a reference resolution (got {self.reference})")
+            if self.levels and min(self.levels) < 2:
+                bad.append(f"rate-space levels must be >= 2 (got {self.levels})")
+            self._validate_ladder(bad, self.reference, "reference", 4)
         elif self.kind == "moments":
             pairs = list(self.levels)
             if len(pairs) < 2:
@@ -133,49 +142,26 @@ class ExperimentPlan:
             raise ValidationError("; ".join(bad))
         return self
 
-    def _validate_temporal_levels(self, bad):
-        if self.reference:
-            bad.append(
-                f"rate-time takes no reference; its reference is the j_fine grid "
-                f"(got reference={self.reference})"
-            )
+    def _validate_ladder(self, bad, fine, name, min_ratio):
+        """Levels coupled to the fine resolution `fine` (the setting `name`):
+        each divides it by a power of two that is 1 (the level compared with
+        itself) or at least min_ratio, so that the fine level stands for the
+        truth."""
         if not self.levels:
-            bad.append("rate-time needs at least one level")
+            bad.append(f"{self.kind} needs at least one level")
             return
         if list(self.levels) != sorted(set(int(L) for L in self.levels)):
             bad.append(f"levels must be strictly increasing (got {self.levels})")
         for L in self.levels:
-            if L < 1 or self.j_fine % L:
-                bad.append(f"level J={L} does not divide j_fine={self.j_fine}")
+            if L < 1 or fine % L:
+                bad.append(f"level {L} does not divide {name}={fine}")
                 continue
-            f = self.j_fine // L
-            if f & (f - 1):
-                bad.append(f"coupling factor j_fine/J = {f} is not a power of two")
-            elif f != 1 and f < 8:
-                bad.append(
-                    f"reference-as-truth needs k ratio >= 8, got {f} for level J={L}"
-                )
-
-    def _validate_spatial_levels(self, bad):
-        if not self.levels:
-            bad.append("rate-space needs at least one level")
-            return
-        if list(self.levels) != sorted(set(int(L) for L in self.levels)):
-            bad.append(f"levels must be strictly increasing (got {self.levels})")
-        ref = self.reference
-        if ref < 2:
-            bad.append(f"rate-space needs a reference resolution (got {ref})")
-            return
-        for n in self.levels:
-            if n < 2 or ref % n:
-                bad.append(f"reference n={ref} is not a multiple of level n={n}")
-                continue
-            r = ref // n
+            r = fine // L
             if r & (r - 1):
-                bad.append(f"refinement ratio {r} for level n={n} is not a power of two")
-            elif r != 1 and r < 4:
+                bad.append(f"ratio {name}/{L} = {r} is not a power of two")
+            elif 1 < r < min_ratio:
                 bad.append(
-                    f"reference-as-truth needs resolution ratio >= 4, got {r} for level n={n}"
+                    f"reference-as-truth needs ratio >= {min_ratio}, got {name}/{L} = {r}"
                 )
 
     def _validate_increments(self, bad):

@@ -197,9 +197,9 @@ class FemSpace:
         """Assemble b_i = int values * phi_i from point values (E, Q)."""
         be = (values * self.quad_weights) @ self.quad_points
         be *= self.mesh.volumes[:, None]
-        b = np.zeros(self.mesh.dof_count)
-        np.add.at(b, self.mesh.elements, be)
-        return b
+        return np.bincount(
+            self.mesh.elements.ravel(), weights=be.ravel(), minlength=self.mesh.dof_count
+        )
 
     # -- linear algebra -----------------------------------------------------
 

@@ -88,15 +88,3 @@ def config_hash(config):
     """Timestamp-free fingerprint of the semantic configuration."""
     return hashlib.sha256(json17(config).encode()).hexdigest()
 
-
-def config_echo_text(config):
-    """Flat key=value rendering of the effective configuration."""
-    lines = []
-    for key in sorted(config):
-        value = config[key]
-        if isinstance(value, (list, tuple)):
-            value = ",".join(csv_cell(v) for v in value)
-        else:
-            value = csv_cell(value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

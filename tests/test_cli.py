@@ -11,7 +11,6 @@ from sacpde.cli import (
     KIND_DEFAULTS,
     SCHEMA,
     build_plan,
-    env_overrides,
     load_config_file,
     main,
 )
@@ -58,22 +57,19 @@ def test_missing_config_file():
         load_config_file("/nonexistent/path.cfg", "simulate")
 
 
-def test_env_overrides_only_known_keys():
-    env = {"SAC_N": "48", "SAC_SEED": "9", "SAC_UNRELATED": "1", "PATH": "/bin"}
-    got = env_overrides("simulate", environ=env)
-    assert got == {"n": 48, "seed": 9}
+def test_environment_sets_nothing(monkeypatch):
+    """Settings come from defaults, --config and flags only."""
+    monkeypatch.setenv("SAC_N", "48")
+    assert build_plan("simulate").n == 64
 
 
-def test_precedence_file_env_flags(tmp_path):
+def test_precedence_file_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 16\nseed = 2\nT = 0.5\n")
-    env = {"SAC_N": "32", "SAC_SEED": "3"}
-    plan = build_plan(
-        "simulate", config_path=str(cfg), flag_values={"n": "64"}, environ=env
-    )
-    assert plan.n == 64       # flag beats env beats file
-    assert plan.seed == 3     # env beats file
-    assert plan.T == 0.5      # file beats default
+    plan = build_plan("simulate", config_path=str(cfg), flag_values={"n": "64"})
+    assert plan.n == 64       # flag beats file
+    assert plan.seed == 2     # file beats default
+    assert plan.T == 0.5
 
 
 def test_moments_levels_parse_as_pairs():
@@ -126,6 +122,7 @@ def test_bad_flag_value_exits_two(capsys):
          ["spectral_modes must be >= 1"]),
         (["simulate", "--n", "1"], ["n must be >= 2"]),
         (["rate-time", "--reference", "4096"], ["rate-time takes no reference"]),
+        (["rate-space", "--levels", "1", "--reference", "4"], ["rate-space levels must be >= 2"]),
         (["rate-space", "--solver", "spectral"], ["rate-space runs on the element solver"]),
         (["moments", "--solver", "spectral"], ["moments runs on the element solver"]),
         (["check", "--solver", "spectral"], ["check runs on the element solver"]),
@@ -154,8 +151,8 @@ def test_bad_flag_value_exits_two(capsys):
         "level-not-dividing", "step-not-below-one", "level-step-not-below-one",
         "fine-step-not-below-one",
         "negative-R", "negative-newton-tol", "infinite-newton-tol", "no-spectral-modes",
-        "one-cell-mesh", "rate-time-reference", "spectral-rate-space", "spectral-moments",
-        "spectral-check", "unknown-presets",
+        "one-cell-mesh", "rate-time-reference", "one-cell-level", "spectral-rate-space",
+        "spectral-moments", "spectral-check", "unknown-presets",
         "zero-fine-steps", "zero-horizon", "infinite-anchor", "negative-tau",
         "nan-tau", "seed-above-key", "path-index-above-key", "nan-sigma-amplitude",
         "infinite-sigma-amplitude", "nan-constant-x0", "infinite-constant-x0",
@@ -181,7 +178,9 @@ def test_simulate_writes_deterministic_artifacts(tmp_path, capsys):
     rc1 = main(args + ["-o", str(tmp_path / "a")])
     rc2 = main(args + ["-o", str(tmp_path / "b")])
     assert rc1 == rc2 == 0
-    for name in ("config.txt", "report.json", "diagnostics.csv", "provenance.txt"):
+    names = ("config.txt", "diagnostics.csv", "report.json")
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == list(names)
+    for name in names:
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
@@ -209,20 +208,39 @@ def test_simulate_constant_equilibrium_has_zero_energy(tmp_path):
     assert abs(report["energy_initial"]) < 1e-12
 
 
-def test_config_echo_round_trips(tmp_path):
-    rc = main([
-        "simulate", "--n", "16", "--J", "4", "--T", "0.01", "-o", str(tmp_path / "run"),
-    ])
-    assert rc == 0
-    text = (tmp_path / "run" / "config.txt").read_text()
-    cfg = dict(
-        line.split(" = ", 1) for line in text.strip().splitlines()
-    )
-    assert cfg["n"] == "16"
-    assert cfg["J"] == "4"
-    assert "threads" not in cfg  # execution detail, not semantics
-    prov = (tmp_path / "run" / "provenance.txt").read_text()
-    assert "config_sha256" in prov and "seed" in prov
+_SMALL_RUNS = {
+    "simulate": ["--n", "16", "--J", "4", "--T", "0.01", "--x0", "constant:0.5"],
+    "rate-time": ["--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
+                  "--n-paths", "2"],
+    "rate-space": ["--levels", "8", "--reference", "32", "--n-paths", "2",
+                   "--J", "8", "--T", "0.02"],
+    "moments": ["--levels", "4:4,8:8", "--n-paths", "2"],
+    "increments": ["--spectral-modes", "8", "--j-fine", "64", "--n-paths", "2",
+                   "--taus", "0.0625,0.03125"],
+    "check": ["--n", "16", "--J", "8"],
+}
+
+
+def test_config_echo_round_trips(tmp_path, capsys):
+    """config.txt replays a run: `--config A/config.txt -o B` writes the same
+    bytes as the run that wrote A.  A config file of another kind is a
+    configuration error that names both kinds."""
+    for kind, args in _SMALL_RUNS.items():
+        a, b = tmp_path / kind / "a", tmp_path / kind / "b"
+        assert main([kind, *args, "-o", str(a)]) == 0
+        assert main([kind, "--config", str(a / "config.txt"), "-o", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert sorted(p.name for p in b.iterdir()) == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (kind, name)
+    assert "levels = 4:4,8:8\n" in (tmp_path / "moments" / "a" / "config.txt").read_text()
+    capsys.readouterr()
+
+    rc = main(["rate-time", "--config", str(tmp_path / "moments" / "a" / "config.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "config file is for 'moments', not 'rate-time'" in err
 
 
 def test_check_subcommand_passes(capsys):
@@ -277,11 +295,3 @@ def test_spectral_simulate_smoke(tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["solver"] == "spectral"
     assert report["space"]["n_modes"] == 16
-
-
-def test_env_vars_reach_main(tmp_path, monkeypatch):
-    monkeypatch.setenv("SAC_N", "24")
-    rc = main(["simulate", "--J", "4", "--T", "0.01", "-o", str(tmp_path / "run")])
-    assert rc == 0
-    report = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert report["space"]["n"] == 24

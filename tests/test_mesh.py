@@ -101,7 +101,8 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     """system_matrix is a canonical CSC matrix on the pattern of M + A, equal
     to the COO reference assembly: bit for bit at d = 1, where no entry sums
     more than two terms, and to 1e-15 relative where the summation order of
-    duplicate entries differs."""
+    duplicate entries differs.  load_vector's bincount equals an np.add.at
+    scatter bit for bit."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     y = l2_project(space, initial_datum("cos", 1.0))
     w = f_mixed_dy(space.element_values(y), space.element_values(0.9 * y))
@@ -129,6 +130,13 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
         other.indices[0] = 0
     with pytest.raises(ValueError):
         other.indptr[-1] = 0
+
+    # load_vector sums in the same element order as an np.add.at scatter
+    values = space.element_values(y) * w
+    be = (values * space.quad_weights) @ space.quad_points * space.mesh.volumes[:, None]
+    scattered = np.zeros(space.mesh.dof_count)
+    np.add.at(scattered, space.mesh.elements, be)
+    assert np.array_equal(space.load_vector(values), scattered)
 
 
 def test_l2_projection_of_constant_is_exact():
