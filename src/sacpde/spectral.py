@@ -8,13 +8,16 @@ truncated-space energy identity needs exactly that (the common 3/2-rule
 padding is only exact for quadratic products, so the pad factor here is 2).
 
 The implicit step solves the same two-level scheme as the element stepper,
-by Newton iteration in coefficient space with the exact Jacobian; the Newton
-systems are solved matrix-free (diagonal split plus FFT convolution,
-iterated to rounding stagnation) with a dense full-spectrum solve as the
-fallback when the time step is too large for the split to contract.  All
-per-path arithmetic is row-local, so stepping a batch of paths gives
-bit-identical results for any partition of the batch — the report
-reproducibility contract across path counts rests on this.
+by inexact Newton iteration in coefficient space with the exact Jacobian.
+Each Newton system is solved matrix-free (fixed point on the diagonal split
+plus FFT convolution) only as far as the row's forcing term asks
+(Eisenstat-Walker choice 2, tied to the row's outer residual); the outer
+residual still has to meet the Newton tolerance.  A row whose fixed point
+does not contract, because the time step is too large for the split, is
+solved densely over the full spectrum instead.  All per-path arithmetic is
+row-local, so stepping a batch of paths gives bit-identical results for any
+partition of the batch — the report reproducibility contract across path
+counts rests on this.
 """
 
 import numpy as np
@@ -26,6 +29,16 @@ from .errors import StepFailure, ValidationError
 from .model import EnergyBreakdown, f_mixed, f_mixed_dy
 
 _INNER_CAP = 400
+# Forcing terms of the inexact Newton step, Eisenstat & Walker (SIAM J. Sci.
+# Comput. 17, 1996) choice 2: eta = 0.9 (|F_new| / |F_old|)^2, kept at least
+# 0.9 eta_old^2 once that exceeds 0.1, capped at 0.9, starting at 0.5, and
+# never below 0.5 * tolerance / |F| so the last sweep does not solve past the
+# outer tolerance.
+_ETA_START = 0.5
+_ETA_MAX = 0.9
+_EW_GAMMA = 0.9
+_EW_SAFEGUARD = 0.1
+_ETA_FLOOR = 0.5
 
 
 class SpectralSpace:
@@ -50,14 +63,13 @@ class SpectralSpace:
     def coeff_count(self):
         return self.n_modes + 1
 
+    # "forward" puts the 1/grid_size on rfft and none on irfft, and irfft
+    # zero-pads the half-spectrum up to the grid itself
     def to_grid(self, coeffs):
-        c = np.asarray(coeffs)
-        buf = np.zeros(c.shape[:-1] + (self.grid_size // 2 + 1,), dtype=complex)
-        buf[..., : self.coeff_count] = c
-        return np.fft.irfft(buf * self.grid_size, n=self.grid_size, axis=-1)
+        return np.fft.irfft(coeffs, n=self.grid_size, axis=-1, norm="forward")
 
     def to_modes(self, values):
-        return np.fft.rfft(values, axis=-1)[..., : self.coeff_count] / self.grid_size
+        return np.fft.rfft(values, axis=-1, norm="forward")[..., : self.coeff_count]
 
     # row sums, not a 2-d `@`/np.dot, whose BLAS kernel may depend on batch height
     def l2_norm(self, coeffs):
@@ -99,28 +111,36 @@ def spectral_energy(space, coeffs):
     return EnergyBreakdown(grad, psi)
 
 
-def _jacobi_linsolve(space, k, D, g, rhs):
+def _jacobi_linsolve(space, k, D, g, rhs, eta):
     """Solve (diag(D) + k * mode_cut[g * .]) delta = rhs, rows independent.
 
-    Fixed-point on the diagonal split, iterated until each row's update
-    stagnates at rounding level; rows that fail to contract are re-solved
+    Fixed-point on the diagonal split.  Row r stops once its update is at
+    most eta[r] times the size of its first iterate rhs / D (the forcing
+    term of an inexact Newton step), or once the update reaches the rounding
+    floor.  A row whose update grows while still above that floor, or that
+    is open after _INNER_CAP sweeps, does not contract and is re-solved
     densely over the full spectrum.  All stopping decisions are row-local.
     """
     delta = rhs / D
+    target = eta * np.max(np.abs(delta), axis=-1)
     prev_update = np.full(len(rhs), np.inf)
     open_rows = np.arange(len(rhs))
+    dense = np.zeros(len(rhs), dtype=bool)
     for _ in range(_INNER_CAP):
         d_open = delta[open_rows]
         new = (rhs[open_rows] - k * space.to_modes(g[open_rows] * space.to_grid(d_open))) / D
         upd = np.max(np.abs(new - d_open), axis=-1)
-        scale = 1e-15 * (1.0 + np.max(np.abs(new), axis=-1))
+        floor = 1e-15 * (1.0 + np.max(np.abs(new), axis=-1))
         delta[open_rows] = new
-        finished = (upd <= scale) | (upd >= prev_update[open_rows])
+        done = (upd <= target[open_rows]) | (upd <= floor)
+        grew = ~done & (upd >= prev_update[open_rows])
+        dense[open_rows[grew]] = True
         prev_update[open_rows] = upd
-        open_rows = open_rows[~finished]
+        open_rows = open_rows[~(done | grew)]
         if len(open_rows) == 0:
-            return delta
-    for r in open_rows:
+            break
+    dense[open_rows] = True
+    for r in np.flatnonzero(dense):
         delta[r] = _dense_linsolve(space, k, D, g[r], rhs[r])
     return delta
 
@@ -172,6 +192,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
             residual=float(rnorm[row]),
         )
     iters = np.zeros(len(C), dtype=int)
+    eta = np.full(len(C), _ETA_START)
     open_rows = np.arange(len(C))[rnorm > scale]
     sweeps = 0
     while len(open_rows):
@@ -184,7 +205,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
             )
         sweeps += 1
         g = f_mixed_dy(u[open_rows], u_prev[open_rows])
-        delta = _jacobi_linsolve(space, k, D, g, -Fv[open_rows])
+        delta = _jacobi_linsolve(space, k, D, g, -Fv[open_rows], eta[open_rows])
 
         lam = np.ones(len(open_rows))
         pending = np.arange(len(open_rows))
@@ -216,11 +237,22 @@ def step_batch(space, sigma, cfg, coeffs, dw):
             )
         y[open_rows] = y_new
         Fv[open_rows] = F_new
-        rnorm[open_rows] = r_new
         u[open_rows] = u_new
         iters[open_rows] += 1
-        open_rows = open_rows[r_new > scale[open_rows]]
+        still = r_new > scale[open_rows]
+        nxt = open_rows[still]
+        eta[nxt] = _forcing_term(eta[nxt], r_new[still], rnorm[nxt], scale[nxt])
+        rnorm[open_rows] = r_new
+        open_rows = nxt
     return y, iters, rnorm
+
+
+def _forcing_term(eta_old, r_new, r_old, scale):
+    """Next forcing term of rows still above their tolerance scale < r_new."""
+    eta = _EW_GAMMA * (r_new / r_old) ** 2
+    kept = _EW_GAMMA * eta_old**2
+    eta = np.where(kept > _EW_SAFEGUARD, np.maximum(eta, kept), eta)
+    return np.maximum(np.minimum(eta, _ETA_MAX), _ETA_FLOOR * scale / r_new)
 
 
 def _residual(space, y, u, u_prev, rhs0, D, k):

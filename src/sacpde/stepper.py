@@ -74,9 +74,11 @@ def step(space, sigma, cfg, yp, dw):
     """Advance one step; returns (coeffs, StepDiagnostics).
 
     Newton starts from the previous value, damps by halving the update until
-    the residual norm decreases, and falls back to a lagged-diffusion sweep
-    if the Jacobian factorization fails.  Non-convergence, or a first residual
-    or tolerance that is not finite, raises StepFailure.
+    the residual norm decreases (the one polishing iteration after the
+    tolerance is met takes the full update or stops), and falls back to a
+    lagged-diffusion sweep if the Jacobian factorization fails.
+    Non-convergence, or a first residual or tolerance that is not finite,
+    raises StepFailure.
     """
     k = cfg.k
     M, A = space.mass, space.stiffness
@@ -101,7 +103,9 @@ def step(space, sigma, cfg, yp, dw):
     # One extra iteration after the tolerance is met: the energy-identity
     # defect picks up residual * |w| with |w| ~ |lap_h Y|, so stopping exactly
     # at the tolerance is not tight enough on fine meshes, while a single
-    # polishing step lands the residual on its rounding floor.
+    # polishing step lands the residual on its rounding floor.  The polish
+    # takes the full step or nothing: a halved step cannot gain more than
+    # rounding once the tolerance is met.
     polish_left = 1
     while True:
         if rnorm <= scale:
@@ -127,19 +131,19 @@ def step(space, sigma, cfg, yp, dw):
             mka = (M + k * A).tocsc()
             delta = spla.splu(mka, permc_spec=LU_ORDERING).solve(rhs0 - k * b) - y
 
-        lam = 1.0
+        polishing = rnorm <= scale
         accepted = False
-        for _ in range(DAMPING + 1):
-            y_trial = y + lam * delta
+        for halvings in range(DAMPING + 1):
+            y_trial = y + 0.5**halvings * delta
             F_trial, yq_trial = residual(y_trial)
             r_trial = np.linalg.norm(F_trial)
-            if r_trial < rnorm or (rnorm > scale and r_trial <= scale):
+            if r_trial < rnorm or (not polishing and r_trial <= scale):
                 accepted = True
                 break
-            lam *= 0.5
-            halvings_total += 1
+            if polishing:
+                break
         if not accepted:
-            if rnorm <= scale:
+            if polishing:
                 break  # converged; the polish could not improve on the floor
             raise StepFailure(
                 f"Newton stalled with full damping after {iters + 1} iterations "
@@ -148,6 +152,7 @@ def step(space, sigma, cfg, yp, dw):
             )
         y, Fv, yq, rnorm = y_trial, F_trial, yq_trial, r_trial
         iters += 1
+        halvings_total += halvings
     return y, StepDiagnostics(iters, rnorm, halvings_total, picard)
 
 

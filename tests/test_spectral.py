@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sacpde import spectral
 from sacpde.errors import ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh
 from sacpde.model import initial_datum, make_sigma
@@ -117,18 +118,48 @@ def test_constant_state_matches_scalar_reduction():
 
 
 def test_batch_partition_is_bitwise_invariant():
-    """Stepping rows together or in sub-batches gives identical bits."""
+    """Stepping rows together or in sub-batches gives identical bits, also
+    when the rows need different numbers of Newton sweeps and so carry
+    different forcing terms."""
     sp = SpectralSpace(1.0, 16)
     cfg = SchemeConfig(k=0.01)
     sig = make_sigma("sine", 0.5)
     rng = np.random.default_rng(9)
-    C = 0.2 * (rng.standard_normal((5, 17)) + 1j * rng.standard_normal((5, 17)))
+    C = 0.2 * (rng.standard_normal((6, 17)) + 1j * rng.standard_normal((6, 17)))
+    C[5] = 5.0 * C[5]
     C[:, 0] = C[:, 0].real
-    dw = 0.05 * rng.standard_normal(5)
-    full, _, _ = step_batch(sp, sig, cfg, C, dw)
+    dw = 0.05 * rng.standard_normal(6)
+    full, iters, _ = step_batch(sp, sig, cfg, C, dw)
+    assert np.all(iters[5] != iters[:5])
     first, _, _ = step_batch(sp, sig, cfg, C[:3], dw[:3])
     second, _, _ = step_batch(sp, sig, cfg, C[3:], dw[3:])
     assert np.array_equal(full, np.vstack([first, second]))
+    for i in range(6):
+        alone, _, _ = step_batch(sp, sig, cfg, C[i : i + 1], dw[i : i + 1])
+        assert np.array_equal(full[i], alone[0])
+
+
+def test_inexact_newton_in_the_workload_regime(monkeypatch):
+    """The benchmark's spectral regime: 8 modes, 64 paths of the cos datum at
+    the fine step k = 0.25/4096 with sigma = sin.  Every row meets its Newton
+    tolerance, and the forcing terms keep the transforms per step low (a
+    solve of every Newton system to rounding takes about 19)."""
+    sp = SpectralSpace(2 * np.pi, 8)
+    cfg = SchemeConfig(k=0.25 / 4096)
+    sig = make_sigma("sine", 1.0)
+    C = np.tile(spectral_project(sp, initial_datum("cos", 2 * np.pi)), (64, 1))
+    inc = np.array([sample_path(1, i, T=0.25, j_fine=4096).increments[:16] for i in range(64)])
+    calls = []
+    for name in ("to_grid", "to_modes"):
+        fn = getattr(SpectralSpace, name)
+        monkeypatch.setattr(
+            SpectralSpace, name, lambda self, a, fn=fn: calls.append(1) or fn(self, a)
+        )
+    for j in range(16):
+        tol = cfg.newton_tol * (1.0 + sp.l2_norm(C))
+        C, _, rnorm = step_batch(sp, sig, cfg, C, inc[:, j])
+        assert np.all(rnorm <= tol)
+    assert len(calls) / 16 <= 14
 
 
 def test_spectral_energy_identity_holds():
@@ -154,12 +185,19 @@ def test_spectral_trajectory_dissipates_without_noise():
     assert traj.energies[-1] < traj.energies[0]
 
 
-def test_large_step_falls_back_to_dense_solve():
-    """k = 0.5 defeats the diagonal split; the dense path must still converge."""
-    sp = SpectralSpace(1.0, 12)
+def test_large_step_falls_back_to_dense_solve(monkeypatch):
+    """k = 0.5 on 3 cos x defeats the diagonal split: the inner updates grow,
+    the rows go to the dense solve, and Newton still converges."""
+    calls = []
+    dense = spectral._dense_linsolve
+    monkeypatch.setattr(
+        spectral, "_dense_linsolve", lambda *args: calls.append(1) or dense(*args)
+    )
+    sp = SpectralSpace(2 * np.pi, 12)
     cfg = SchemeConfig(k=0.5, newton_tol=1e-12)
-    y0 = spectral_project(sp, initial_datum("cos", 1.0))
+    y0 = spectral_project(sp, lambda x: 3.0 * np.cos(x[..., 0]))
     C1, _, rnorm = step_batch(sp, ZERO, cfg, y0[None, :], np.zeros(1))
+    assert calls
     assert rnorm[0] <= cfg.newton_tol * (1.0 + sp.l2_norm(y0))
     check = spectral_energy_identity_residual(sp, ZERO, y0, C1[0], cfg.k, 0.0)
     assert check.residual <= max(IDENTITY_ATOL, IDENTITY_RTOL * abs(check.lhs))

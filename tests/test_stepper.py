@@ -223,6 +223,32 @@ def test_fem_step_failure_names_the_batch_row(monkeypatch):
     assert exc.value.residual == exc.value.__cause__.residual
 
 
+def test_converged_polish_takes_only_the_full_step(monkeypatch):
+    """Once the tolerance is met, the polishing iteration tries the full
+    Newton step only.  If that does not lower the residual the step stops,
+    after one extra residual evaluation instead of DAMPING + 1 halved ones."""
+    space = FemSpace(PeriodicMesh(1, 2 * np.pi, 8))
+    cfg = SchemeConfig(k=0.1)
+    calls = []
+    load_vector = FemSpace.load_vector
+    monkeypatch.setattr(
+        FemSpace, "load_vector", lambda self, v: calls.append(1) or load_vector(self, v)
+    )
+    y = l2_project(space, initial_datum("cos", 2 * np.pi))
+    rejected = 0
+    for _ in range(16):
+        calls.clear()
+        y, diag = step(space, ZERO, cfg, y, 0.0)
+        # one load vector per residual: the first, each accepted iterate and
+        # each rejected trial; sigma = 0 assembles none
+        trials = len(calls) - 1 - diag.newton_iters
+        assert diag.damping_halvings == 0
+        assert trials in (0, 1)
+        rejected += trials
+    # the polishes of steps 8, 9, 10 and 13 cannot improve on the rounding floor
+    assert rejected >= 1
+
+
 def test_three_dimensional_smoke():
     """The d=3 CG path advances a short trajectory and dissipates."""
     space = _space(n=4, d=3)
