@@ -310,7 +310,9 @@ def main(argv=None):
     }
     try:
         plan = build_plan(args.kind, config_path=args.config, flag_values=flags)
-    except (ConfigError, ValidationError) as exc:
+        if args.output_dir:  # an unusable path fails before the study runs
+            os.makedirs(args.output_dir, exist_ok=True)
+    except (ConfigError, ValidationError, OSError) as exc:
         print(f"sacpde: configuration error:\n{exc}", file=sys.stderr)
         return 2
 

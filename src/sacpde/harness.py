@@ -126,7 +126,7 @@ class ExperimentPlan:
                 bad.append("moments needs at least two (J, n) refinement levels")
             ok = True
             for pair in pairs:
-                if len(pair) != 2 or pair[0] < 1 or pair[1] < 2:
+                if np.shape(pair) != (2,) or pair[0] < 1 or pair[1] < 2:
                     bad.append(f"bad moments level {pair!r}: expected (J>=1, n>=2)")
                     ok = False
             if ok and len(pairs) >= 2:
@@ -202,7 +202,7 @@ class ExperimentPlan:
         if self.kind == "increments":
             return [self.j_fine]
         if self.kind == "moments":
-            return [pair[0] for pair in self.levels if len(pair) == 2]
+            return [pair[0] for pair in self.levels if np.shape(pair) == (2,)]
         return [self.J]
 
     def config_dict(self):

@@ -179,11 +179,13 @@ def step_batch(space, sigma, cfg, coeffs, dw):
     else:
         rhs0 = C + dw[:, None] * space.to_modes(sigma(u_prev))
 
-    scale = cfg.newton_tol * (1.0 + space.l2_norm(C))
     y = C.copy()
     u = u_prev.copy()
-    Fv = _residual(space, y, u, u_prev, rhs0, D, k)
-    rnorm = space.l2_norm(Fv)
+    # an overflowing state is reported by the finite guard below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = cfg.newton_tol * (1.0 + space.l2_norm(C))
+        Fv = _residual(space, y, u, u_prev, rhs0, D, k)
+        rnorm = space.l2_norm(Fv)
     bad = ~(np.isfinite(rnorm) & np.isfinite(scale))
     if bad.any():
         row = int(np.argmax(bad))
@@ -207,12 +209,11 @@ def step_batch(space, sigma, cfg, coeffs, dw):
         g = f_mixed_dy(u[open_rows], u_prev[open_rows])
         delta = _jacobi_linsolve(space, k, D, g, -Fv[open_rows], eta[open_rows])
 
+        # accepted trials go straight into y, Fv, u and rnorm: a row leaves
+        # `pending` when accepted, so the search reads only unchanged rows
+        r_old = rnorm[open_rows]
         lam = np.ones(len(open_rows))
         pending = np.arange(len(open_rows))
-        y_new = np.empty_like(delta)
-        F_new = np.empty_like(delta)
-        u_new = np.empty((len(open_rows), space.grid_size))
-        r_new = np.empty(len(open_rows))
         for _ in range(stepper.DAMPING + 1):
             rows = open_rows[pending]
             trial = y[rows] + lam[pending, None] * delta[pending]
@@ -220,10 +221,8 @@ def step_batch(space, sigma, cfg, coeffs, dw):
             F_trial = _residual(space, trial, u_trial, u_prev[rows], rhs0[rows], D, k)
             r_trial = space.l2_norm(F_trial)
             ok = (r_trial < rnorm[rows]) | (r_trial <= scale[rows])
-            y_new[pending[ok]] = trial[ok]
-            F_new[pending[ok]] = F_trial[ok]
-            u_new[pending[ok]] = u_trial[ok]
-            r_new[pending[ok]] = r_trial[ok]
+            acc = rows[ok]
+            y[acc], Fv[acc], u[acc], rnorm[acc] = trial[ok], F_trial[ok], u_trial[ok], r_trial[ok]
             pending = pending[~ok]
             if len(pending) == 0:
                 break
@@ -235,14 +234,10 @@ def step_batch(space, sigma, cfg, coeffs, dw):
                 f"residual {rnorm[worst]:.3e})",
                 residual=float(rnorm[worst]),
             )
-        y[open_rows] = y_new
-        Fv[open_rows] = F_new
-        u[open_rows] = u_new
         iters[open_rows] += 1
-        still = r_new > scale[open_rows]
+        still = rnorm[open_rows] > scale[open_rows]
         nxt = open_rows[still]
-        eta[nxt] = _forcing_term(eta[nxt], r_new[still], rnorm[nxt], scale[nxt])
-        rnorm[open_rows] = r_new
+        eta[nxt] = _forcing_term(eta[nxt], rnorm[nxt], r_old[still], scale[nxt])
         open_rows = nxt
     return y, iters, rnorm
 

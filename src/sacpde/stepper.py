@@ -46,39 +46,53 @@ class SchemeConfig:
 
 
 class StepDiagnostics:
+    # picard_fallbacks is always 0, since the step has no fallback; it stays
+    # because perfbench/layers.py reads it and diagnostics.csv has its column
     __slots__ = ("newton_iters", "residual_norm", "damping_halvings", "picard_fallbacks")
 
-    def __init__(self, newton_iters, residual_norm, damping_halvings, picard_fallbacks):
+    def __init__(self, newton_iters, residual_norm, damping_halvings):
         self.newton_iters = newton_iters
         self.residual_norm = residual_norm
         self.damping_halvings = damping_halvings
-        self.picard_fallbacks = picard_fallbacks
+        self.picard_fallbacks = 0
 
 
 def _solve_linear(space, J, rhs):
     """Solve J x = rhs for the CSC system matrix J: sparse LU with the
-    LU_ORDERING column ordering for d <= 2; diagonally preconditioned CG for
-    d = 3, redone by the same LU if CG reports failure."""
+    LU_ORDERING column ordering for d <= 2, diagonally preconditioned CG for
+    d = 3.  There is no fallback: a failed factorization, a CG solve that
+    reports failure or a non-finite solution raises StepFailure, which keeps
+    |rhs|, the Newton residual norm."""
     if space.mesh.d < 3:
-        return spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
-    diag = J.diagonal()
-    precond = spla.LinearOperator(J.shape, lambda v: v / diag)
-    # J is symmetric, and J.T is its CSR view: faster products than CSC, no copy
-    x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
-    if info != 0:
-        return spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
+        try:
+            x = spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
+        except RuntimeError as exc:  # SuperLU's report of a singular factor
+            raise _solve_failure(exc, rhs) from exc
+    else:
+        diag = J.diagonal()
+        precond = spla.LinearOperator(J.shape, lambda v: v / diag)
+        # J is symmetric, and J.T is its CSR view: faster products than CSC, no copy
+        x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
+        if info != 0:
+            raise _solve_failure(f"CG reported info {info}", rhs)
+    if not np.all(np.isfinite(x)):
+        raise _solve_failure("non-finite Newton update", rhs)
     return x
+
+
+def _solve_failure(reason, rhs):
+    rnorm = np.linalg.norm(rhs)
+    return StepFailure(f"linear solve failed: {reason} (residual {rnorm:.3e})", residual=rnorm)
 
 
 def step(space, sigma, cfg, yp, dw):
     """Advance one step; returns (coeffs, StepDiagnostics).
 
-    Newton starts from the previous value, damps by halving the update until
-    the residual norm decreases (the one polishing iteration after the
-    tolerance is met takes the full update or stops), and falls back to a
-    lagged-diffusion sweep if the Jacobian factorization fails.
-    Non-convergence, or a first residual or tolerance that is not finite,
-    raises StepFailure.
+    Newton starts from the previous value.  Until the residual meets the
+    tolerance, each update is halved until the residual norm decreases (or
+    meets the tolerance).  Then one polishing iteration takes the full update
+    if that lowers the residual.  Non-convergence, a failed linear solve, or
+    a first residual or tolerance that is not finite raises StepFailure.
     """
     k = cfg.k
     M, A = space.mass, space.stiffness
@@ -91,6 +105,9 @@ def step(space, sigma, cfg, yp, dw):
         b = space.load_vector(0.5 * (yq * yq - 1.0) * (yq + zq))
         return M @ y + k * (A @ y + b) - rhs0, yq
 
+    def newton_update(Fv, yq):
+        return _solve_linear(space, space.system_matrix(k, f_mixed_dy(yq, zq)), -Fv)
+
     scale = cfg.newton_tol * (1.0 + np.linalg.norm(m_yp))
     y = yp.copy()
     Fv, yq = residual(y)
@@ -99,52 +116,21 @@ def step(space, sigma, cfg, yp, dw):
         raise StepFailure("Newton residual or its tolerance is not finite", residual=rnorm)
     iters = 0
     halvings_total = 0
-    picard = 0
-    # One extra iteration after the tolerance is met: the energy-identity
-    # defect picks up residual * |w| with |w| ~ |lap_h Y|, so stopping exactly
-    # at the tolerance is not tight enough on fine meshes, while a single
-    # polishing step lands the residual on its rounding floor.  The polish
-    # takes the full step or nothing: a halved step cannot gain more than
-    # rounding once the tolerance is met.
-    polish_left = 1
-    while True:
-        if rnorm <= scale:
-            if polish_left == 0 or rnorm == 0.0:
-                break
-            polish_left -= 1
-        elif iters >= NEWTON_MAX_ITER:
+    while rnorm > scale:
+        if iters >= NEWTON_MAX_ITER:
             raise StepFailure(
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {rnorm:.3e}, target {scale:.3e})",
                 residual=rnorm,
             )
-        J = space.system_matrix(k, f_mixed_dy(yq, zq))
-        try:
-            delta = _solve_linear(space, J, -Fv)
-            if not np.all(np.isfinite(delta)):
-                raise RuntimeError("non-finite Newton update")
-        except RuntimeError:
-            # lagged-diffusion sweep: freeze the reaction term at the current
-            # iterate and solve the remaining linear problem
-            picard += 1
-            b = space.load_vector(0.5 * (yq * yq - 1.0) * (yq + zq))
-            mka = (M + k * A).tocsc()
-            delta = spla.splu(mka, permc_spec=LU_ORDERING).solve(rhs0 - k * b) - y
-
-        polishing = rnorm <= scale
-        accepted = False
+        delta = newton_update(Fv, yq)
         for halvings in range(DAMPING + 1):
             y_trial = y + 0.5**halvings * delta
             F_trial, yq_trial = residual(y_trial)
             r_trial = np.linalg.norm(F_trial)
-            if r_trial < rnorm or (not polishing and r_trial <= scale):
-                accepted = True
+            if r_trial < rnorm or r_trial <= scale:
                 break
-            if polishing:
-                break
-        if not accepted:
-            if polishing:
-                break  # converged; the polish could not improve on the floor
+        else:
             raise StepFailure(
                 f"Newton stalled with full damping after {iters + 1} iterations "
                 f"(residual {rnorm:.3e}, target {scale:.3e})",
@@ -153,7 +139,18 @@ def step(space, sigma, cfg, yp, dw):
         y, Fv, yq, rnorm = y_trial, F_trial, yq_trial, r_trial
         iters += 1
         halvings_total += halvings
-    return y, StepDiagnostics(iters, rnorm, halvings_total, picard)
+    # One polishing iteration after the tolerance is met: the energy-identity
+    # defect picks up residual * |w| with |w| ~ |lap_h Y|, so stopping exactly
+    # at the tolerance is not tight enough on fine meshes, while a single
+    # full step lands the residual on its rounding floor.  A halved step
+    # cannot gain more than rounding once the tolerance is met.
+    if rnorm > 0.0:
+        y_trial = y + newton_update(Fv, yq)
+        r_trial = np.linalg.norm(residual(y_trial)[0])
+        if r_trial < rnorm:
+            y, rnorm = y_trial, r_trial
+            iters += 1
+    return y, StepDiagnostics(iters, rnorm, halvings_total)
 
 
 class FemBackend:

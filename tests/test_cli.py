@@ -3,10 +3,12 @@
 import json
 import os
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sacpde import cli, stepper
 from sacpde.cli import (
     KIND_DEFAULTS,
     SCHEMA,
@@ -262,16 +264,18 @@ def test_check_with_loose_newton_fails_with_json_line(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,quiet",
     [
-        ["moments", "--levels", "4:4,8:8", "--n-paths", "2"],
-        ["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
-         "--n-paths", "2"],
+        # the FEM study still warns in l2_project, the initial energy and stepper.step
+        (["moments", "--levels", "4:4,8:8", "--n-paths", "2"], False),
+        (["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
+          "--n-paths", "2"], True),
     ],
     ids=["fem-moments", "spectral-rate-time"],
 )
-def test_overflowing_state_is_a_step_failure(tmp_path, capsys, argv):
-    """A datum whose norm overflows fails the first step; it is no nan report."""
+def test_overflowing_state_is_a_step_failure(tmp_path, capsys, recwarn, argv, quiet):
+    """A datum whose norm overflows fails the first step; it is no nan report,
+    and the spectral step reports it without a numpy warning."""
     out_dir = tmp_path / "run"
     rc = main(argv + ["--x0", "constant:1e200", "-o", str(out_dir)])
     assert rc == 1
@@ -284,6 +288,40 @@ def test_overflowing_state_is_a_step_failure(tmp_path, capsys, argv):
     assert "nan" not in captured.out.lower()
     assert "Traceback" not in captured.err
     assert not (out_dir / "report.json").exists()
+    if quiet:
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_failed_linear_solve_is_a_json_failure(monkeypatch, capsys):
+    """A Newton LU that fails ends the study with one JSON record, exit 1."""
+
+    def failing_splu(J, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    # only the stepper's view: the mass-matrix LU of the projection still works
+    monkeypatch.setattr(stepper, "spla", SimpleNamespace(splu=failing_splu))
+    rc = main(["simulate", "--n", "16", "--J", "4", "--T", "0.02"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "StepFailure"
+    assert "linear solve failed" in payload["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_unusable_output_directory_fails_before_the_study(monkeypatch, tmp_path, capsys):
+    """-o under a regular file is a configuration error; no study runs."""
+    (tmp_path / "file").write_text("")
+    calls = []
+    monkeypatch.setitem(cli._RUNNERS, "check", lambda plan: calls.append(plan))
+    rc = main(["check", "--J", "5", "-o", str(tmp_path / "file" / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sacpde: configuration error:")
+    assert captured.out == ""
+    assert calls == []
 
 
 def test_spectral_simulate_smoke(tmp_path):

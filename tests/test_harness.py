@@ -54,6 +54,15 @@ def test_plan_validation_collects_all_issues():
     assert "increasing" in msg
 
 
+def test_plan_validation_rejects_bare_moments_levels():
+    """Moments levels are (J, n) pairs; bare ints are a validation error."""
+    with pytest.raises(ValidationError) as err:
+        ExperimentPlan(kind="moments", levels=(16, 32)).validate()
+    msg = str(err.value)
+    assert "bad moments level 16: expected (J>=1, n>=2)" in msg
+    assert "bad moments level 32: expected (J>=1, n>=2)" in msg
+
+
 def test_plan_validation_temporal_levels():
     # non-divisor
     with pytest.raises(ValidationError):

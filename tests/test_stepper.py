@@ -263,66 +263,39 @@ def test_three_dimensional_smoke():
         assert row["identity_residual"] <= thr
 
 
-def test_failed_linear_solve_takes_a_lagged_diffusion_sweep(monkeypatch):
-    """One failed Newton solve costs one lagged-diffusion sweep; Newton then
-    converges to the plain step's state and the identity still holds."""
-    space = _space(n=32)
-    cfg = SchemeConfig(k=0.005)
+@pytest.mark.parametrize("d,n", [(1, 32), (3, 4)])
+def test_failed_linear_solve_is_a_step_failure(monkeypatch, d, n):
+    """A failed factorization (d = 1) or CG solve (d = 3) ends the step: it is
+    not redone by another method, and the batch row and residual are kept."""
+    space = _space(n=n, d=d)
     sig = make_sigma("sine", 0.5)
     y0 = l2_project(space, initial_datum("cos", 1.0))
-    plain, _ = step(space, sig, cfg, y0, 0.03)
-
-    solve = stepper._solve_linear
+    backend = FemBackend(space, sig)
+    # row 0, the zero state with no noise, has residual 0 and solves nothing
+    C, dw = np.stack([np.zeros_like(y0), y0]), np.array([0.0, 0.05])
     calls = []
 
-    def fail_once(space, J, rhs):
-        calls.append(J)
-        if len(calls) == 1:
-            raise RuntimeError("factorization failed")
-        return solve(space, J, rhs)
-
-    monkeypatch.setattr(stepper, "_solve_linear", fail_once)
-    y1, diag = step(space, sig, cfg, y0, 0.03)
-    assert diag.picard_fallbacks == 1
-    assert len(calls) == diag.newton_iters
-    assert diag.residual_norm <= cfg.newton_tol * (1.0 + np.linalg.norm(space.mass @ y0))
-    np.testing.assert_allclose(y1, plain, rtol=0.0, atol=1e-14)
-    assert energy_identity_residual(space, sig, y0, y1, cfg.k, 0.03).passed
-
-
-def test_failed_cg_falls_back_to_lu(monkeypatch):
-    """At d = 3 a CG solve that reports failure is redone by LU."""
-    space = _space(n=4, d=3)
-    cfg = SchemeConfig(k=0.01)
-    sig = make_sigma("sine", 0.5)
-    y0 = l2_project(space, initial_datum("cos", 1.0))
-    plain, _ = step(space, sig, cfg, y0, 0.05)
-
-    splu = stepper.spla.splu
-    cg_calls, lu_calls = [], []
+    def failing_splu(J, *args, **kwargs):
+        calls.append("splu")
+        raise RuntimeError("Factor is exactly singular")
 
     def failing_cg(J, rhs, **kwargs):
-        cg_calls.append(J)
+        calls.append("cg")
         return np.zeros_like(rhs), 1
 
-    def counting_splu(J, *args, **kwargs):
-        lu_calls.append(J)
-        return splu(J, *args, **kwargs)
-
+    monkeypatch.setattr(stepper.spla, "splu", failing_splu)
     monkeypatch.setattr(stepper.spla, "cg", failing_cg)
-    monkeypatch.setattr(stepper.spla, "splu", counting_splu)
-    y1, diag = step(space, sig, cfg, y0, 0.05)
-    assert len(cg_calls) == len(lu_calls) == diag.newton_iters > 0
-    assert diag.picard_fallbacks == 0
-    np.testing.assert_allclose(y1, plain, rtol=0.0, atol=1e-14)
-    assert energy_identity_residual(space, sig, y0, y1, cfg.k, 0.05).passed
+    with pytest.raises(StepFailure, match=r"linear solve failed.*\(batch row 1\)$") as info:
+        backend.step(C, dw, SchemeConfig(k=0.01))
+    assert calls == (["splu"] if d < 3 else ["cg"])
+    assert info.value.residual > 0.0
 
 
 @pytest.mark.parametrize("d,n", [(2, 32), (3, 8)])
 def test_lu_ordering_reduces_fill(monkeypatch, d, n):
-    """The cached mass LU and a Newton LU each have fewer L+U entries than
-    SuperLU's default ordering gives for the same matrix.  At d = 3 CG is
-    made to fail, so Newton reaches the LU fallback."""
+    """The cached mass LU, and at d = 2 a Newton LU, each have fewer L+U
+    entries than SuperLU's default ordering gives for the same matrix.  At
+    d = 3 Newton solves by CG, so the mass LU is the only LU."""
     space = _space(n=n, d=d)
     sig = make_sigma("sine", 0.5)
     y0 = l2_project(space, initial_datum("cos", 1.0))
@@ -333,18 +306,16 @@ def test_lu_ordering_reduces_fill(monkeypatch, d, n):
         newton.append((J, splu(J, *args, **kwargs)))
         return newton[-1][1]
 
-    def failing_cg(J, rhs, **kwargs):
-        return np.zeros_like(rhs), 1
-
     monkeypatch.setattr(stepper.spla, "splu", recording_splu)
-    if d == 3:
-        monkeypatch.setattr(stepper.spla, "cg", failing_cg)
     step(space, sig, SchemeConfig(k=0.01), y0, 0.05)
     monkeypatch.undo()
 
     def fill(lu):
         return lu.L.nnz + lu.U.nnz
 
-    J, lu = newton[0]
-    assert fill(lu) < fill(splu(J))
+    if d < 3:
+        J, lu = newton[0]
+        assert fill(lu) < fill(splu(J))
+    else:
+        assert newton == []
     assert fill(space._mass_lu) < fill(splu(space.mass.tocsc()))
