@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Temporal Hoelder scaling of the solution increments.
 
-For each lag tau the study estimates E[ ||Y(t+tau) - Y(t)||^2 ], which for
-multiplicative noise scales like tau (Hoelder 1/2 paths).  Halving tau should
-therefore halve the mean squared increment; the deterministic sigma=0 control
-run decays like tau^2 instead (ratio ~ 1/4)."""
+For each lag tau the study estimates E[ ||Y(t+tau) - Y(t)||^2 ] at the
+anchor t = T/2, which for multiplicative noise scales like tau (Hoelder 1/2
+paths).  Halving tau should therefore halve the mean squared increment; the
+deterministic sigma=0 control run decays like tau^2 instead (ratio ~ 1/4)."""
 
 import numpy as np
 
@@ -18,7 +18,6 @@ plan = ExperimentPlan(
     R=2 * np.pi,
     T=0.25,
     j_fine=1024,
-    t_anchor=0.125,
     taus=(1.0 / 16, 1.0 / 32, 1.0 / 64),
     sigma="sine",
     sigma_amplitude=0.5,

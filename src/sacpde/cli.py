@@ -43,7 +43,6 @@ SCHEMA = {
     "sigma": ("str", "noise coefficient: zero, sine or rational"),
     "sigma_amplitude": ("float", "scale of the noise coefficient"),
     "x0": ("str", "initial datum: cos, tanh-layer or constant:<c>"),
-    "x0_width": ("float", "interface width of the tanh-layer datum"),
     "seed": ("int", "master seed; path i uses counter key (seed, i)"),
     "n_paths": ("int", "number of Monte Carlo paths"),
     "solver": ("str", "fem or spectral (spectral needs d=1)"),
@@ -53,9 +52,7 @@ SCHEMA = {
     "j_fine": ("int", "steps of the fine (reference) time grid"),
     "levels": ("levels", "comma list: J values (rate-time), n values (rate-space), J:n pairs (moments)"),
     "reference": ("int", "reference mesh cells per axis (rate-space only)"),
-    "t_anchor": ("float", "anchor time of the increment study"),
     "taus": ("floats", "comma list of time offsets for the increment study"),
-    "path_index": ("int", "which path simulate integrates"),
     "with_identity": ("bool", "record the per-step energy-identity residual (simulate)"),
 }
 
@@ -280,7 +277,7 @@ def build_parser():
         "rate-time": "strong rate in the time step (coupled paths)",
         "rate-space": "strong rate in the mesh width (coupled paths)",
         "moments": "sup-in-time energy moments across resolutions",
-        "increments": "mean-square time increments at an anchor time",
+        "increments": "mean-square time increments at T/2",
         "check": "run the exactness and coupling checks",
     }
     for kind in STUDY_KINDS:

@@ -19,8 +19,9 @@ class SolverError(RuntimeError):
 class StepFailure(SolverError):
     """The implicit time step did not converge.
 
-    Carries the step index context in the message plus the last residual norm
-    so harness callers can produce machine-readable failure reports.
+    The batched steps name the failing batch row in the message, and
+    `residual` keeps that row's last residual norm, so harness callers can
+    produce machine-readable failure reports.
     """
 
     def __init__(self, message, residual=None):

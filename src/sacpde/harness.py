@@ -44,7 +44,6 @@ class ExperimentPlan:
     sigma: str = "sine"
     sigma_amplitude: float = 0.5
     x0: str = "cos"
-    x0_width: float = 0.1
     seed: int = 1
     n_paths: int = 64
     solver: str = "spectral"
@@ -54,9 +53,7 @@ class ExperimentPlan:
     j_fine: int = 4096
     levels: tuple = ()
     reference: int = 0
-    t_anchor: float = 0.125
     taus: tuple = ()
-    path_index: int = 0
     with_identity: bool = False
 
     def validate(self):
@@ -104,8 +101,6 @@ class ExperimentPlan:
                     )
         self._collect(bad, self.make_sigma)
         self._collect(bad, self.x0_callable)
-        if not 0 <= self.path_index <= KEY_MAX:
-            bad.append(f"path_index must be in [0, 2**64 - 1] (got {self.path_index})")
 
         if self.kind == "rate-time":
             if self.reference:
@@ -165,27 +160,28 @@ class ExperimentPlan:
                 )
 
     def _validate_increments(self, bad):
+        """The study anchors at T/2: the anchor and every tau must be on the
+        step grid, and the largest tau must fit in the second half."""
         if self.solver != "spectral" or self.d != 1:
             bad.append("increments study runs on the d=1 spectral reference solver")
+        if self.j_fine % 2:
+            bad.append(f"the anchor T/2 needs an even j_fine (got {self.j_fine})")
         if not self.taus:
             bad.append("increments needs a nonempty taus list")
             return
-        times = list(self.taus) + [self.t_anchor]
-        not_times = [t for t in times if not (np.isfinite(t) and t >= 0)]
+        not_times = [t for t in self.taus if not (np.isfinite(t) and t >= 0)]
         if not_times:
-            bad.append(f"taus and t_anchor must be finite and nonnegative (got {not_times})")
+            bad.append(f"taus must be finite and nonnegative (got {not_times})")
         # a bad T or j_fine is already reported and makes no step to divide by
         if not_times or not (self.T > 0 and self.j_fine >= 1):
             return
         k = self.T / self.j_fine
-        for t in times:
+        for t in self.taus:
             steps = t / k
             if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
                 bad.append(f"{t} is not a multiple of the step T/j_fine = {k}")
-        if self.t_anchor + max(self.taus) > self.T * (1 + 1e-12):
-            bad.append(
-                f"t_anchor + max(tau) = {self.t_anchor + max(self.taus)} exceeds T = {self.T}"
-            )
+        if max(self.taus) > 0.5 * self.T * (1 + 1e-12):
+            bad.append(f"max(tau) = {max(self.taus)} exceeds the anchor T/2 = {0.5 * self.T}")
 
     @staticmethod
     def _collect(bad, build):
@@ -218,7 +214,7 @@ class ExperimentPlan:
         return make_sigma(self.sigma, self.sigma_amplitude)
 
     def x0_callable(self):
-        return initial_datum(self.x0, self.R, self.x0_width)
+        return initial_datum(self.x0, self.R)
 
     def fem_backend(self, sigma, n=None):
         """Element discretization on the plan's torus with n cells per axis."""
@@ -332,7 +328,7 @@ def _sup_of_mean(errs_by_time):
 
 
 def simulate_study(plan):
-    """One trajectory of path `path_index`, with per-step diagnostics."""
+    """One trajectory, driven by path 0 of the seed, with per-step diagnostics."""
     plan.validate()
     if plan.kind != "simulate":
         raise ValidationError(f"simulate_study got plan kind {plan.kind!r}")
@@ -341,7 +337,7 @@ def simulate_study(plan):
     if sigma.is_zero:
         increments = np.zeros(plan.J)
     else:
-        increments = sample_path(plan.seed, plan.path_index, plan.T, plan.J).increments
+        increments = sample_path(plan.seed, 0, plan.T, plan.J).increments
 
     backend = plan.backend(sigma)
     traj = run_trajectory(
@@ -625,6 +621,8 @@ def _ratio_table(taus, means):
 
 
 def increment_study(plan):
+    """Mean-square increments |Y(T/2 + tau) - Y(T/2)|^2 over the paths, for
+    each tau, with a sigma = 0 control run."""
     plan.validate()
     if plan.kind != "increments":
         raise ValidationError(f"increment_study got plan kind {plan.kind!r}")
@@ -632,8 +630,9 @@ def increment_study(plan):
     k = plan.T / plan.j_fine
     cfg = plan.scheme_config(k)
 
+    t_anchor = 0.5 * plan.T
     taus = sorted(float(t) for t in plan.taus)[::-1]  # largest first
-    anchor_idx = int(round(plan.t_anchor / k))
+    anchor_idx = int(round(t_anchor / k))
     tau_steps = [int(round(t / k)) for t in taus]
     last_idx = anchor_idx + max(tau_steps)
     wanted = {anchor_idx} | {anchor_idx + s for s in tau_steps}
@@ -671,7 +670,7 @@ def increment_study(plan):
     report = _report_base(
         plan,
         {
-            "t_anchor": plan.t_anchor,
+            "t_anchor": t_anchor,
             "space": noisy.metadata(),
             "taus": entries,
             "ratios": _ratio_table(taus, means),

@@ -134,14 +134,14 @@ def sigma_load(space, sigma, u):
 
 # -- structural checks -------------------------------------------------------
 
-def monotonicity_gap(space, y1, y2, K=1.0):
+def monotonicity_gap(space, y1, y2):
     """Defect of the one-sided drift estimate; nonpositive up to rounding.
 
-    Computes <drift(y1) - drift(y2), e> + |grad e|^2 - K |e|^2 with
+    Computes <drift(y1) - drift(y2), e> + |grad e|^2 - |e|^2 with
     e = y1 - y2, where the drift pairing is -(grad e, grad e) minus the
-    well-term pairing.  Because the well density has curvature >= -1, K = 1
-    makes the exact value <= 0; callers compare against a rounding allowance
-    proportional to 1 + |e|^2.
+    well-term pairing.  The constant 1 in front of |e|^2 is the curvature
+    bound of the double well (psi'' >= -1), so the exact value is <= 0;
+    callers compare against a rounding allowance proportional to 1 + |e|^2.
     """
     e = y1 - y2
     grad_sq = e @ (space.stiffness @ e)
@@ -150,16 +150,17 @@ def monotonicity_gap(space, y1, y2, K=1.0):
     eq = space.element_values(e)
     well_pair = space.integrate((dpsi(q1) - dpsi(q2)) * eq)
     drift_pair = -grad_sq - well_pair
-    return drift_pair + grad_sq - K * (e @ (space.mass @ e))
+    return drift_pair + grad_sq - e @ (space.mass @ e)
 
 
 # -- initial-datum presets ----------------------------------------------------
 
-def initial_datum(preset, R, width=0.1):
+def initial_datum(preset, R):
     """Named smooth periodic initial data as a callable of positions (..., d).
 
     cos            product of cos(2 pi x_i / R) over the axes
-    tanh-layer     tanh(sin(2 pi x_1 / R) / (sqrt(2) * width)); smooth, periodic
+    tanh-layer     tanh(sin(2 pi x_1 / R) / (sqrt(2) * 0.1)); smooth, periodic,
+                   interface width 0.1
     constant:<c>   the constant c
     """
     if preset == "cos":
@@ -168,9 +169,7 @@ def initial_datum(preset, R, width=0.1):
             return np.prod(np.cos(2.0 * np.pi * x / R), axis=-1)
         return fn
     if preset == "tanh-layer":
-        if not (np.isfinite(width) and width > 0):
-            raise ValidationError(f"x0_width must be positive and finite (got {width!r})")
-        scale = 1.0 / (np.sqrt(2.0) * width)
+        scale = 1.0 / (np.sqrt(2.0) * 0.1)
         def fn(x):
             x = np.asarray(x, dtype=float)
             return np.tanh(np.sin(2.0 * np.pi * x[..., 0] / R) * scale)

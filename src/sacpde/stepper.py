@@ -47,7 +47,7 @@ class SchemeConfig:
 
 class StepDiagnostics:
     # picard_fallbacks is always 0, since the step has no fallback; it stays
-    # because perfbench/layers.py reads it and diagnostics.csv has its column
+    # because perfbench/layers.py reads it; FemBackend.step does not report it
     __slots__ = ("newton_iters", "residual_norm", "damping_halvings", "picard_fallbacks")
 
     def __init__(self, newton_iters, residual_norm, damping_halvings):
@@ -108,10 +108,12 @@ def step(space, sigma, cfg, yp, dw):
     def newton_update(Fv, yq):
         return _solve_linear(space, space.system_matrix(k, f_mixed_dy(yq, zq)), -Fv)
 
-    scale = cfg.newton_tol * (1.0 + np.linalg.norm(m_yp))
     y = yp.copy()
-    Fv, yq = residual(y)
-    rnorm = np.linalg.norm(Fv)
+    # an overflowing state is reported by the finite guard below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = cfg.newton_tol * (1.0 + np.linalg.norm(m_yp))
+        Fv, yq = residual(y)
+        rnorm = np.linalg.norm(Fv)
     if not (np.isfinite(rnorm) and np.isfinite(scale)):
         raise StepFailure("Newton residual or its tolerance is not finite", residual=rnorm)
     iters = 0
@@ -186,7 +188,7 @@ class FemBackend:
             diags.append(diag)
         counters = {
             name: np.array([getattr(d, name) for d in diags])
-            for name in StepDiagnostics.__slots__
+            for name in ("newton_iters", "residual_norm", "damping_halvings")
         }
         return out, counters
 

@@ -166,7 +166,7 @@ def test_acceptance_6_moment_boundedness():
 def test_acceptance_7_increment_scaling():
     plan = ExperimentPlan(
         kind="increments", solver="spectral", spectral_modes=128, d=1, R=TWO_PI,
-        T=0.25, j_fine=4096, t_anchor=0.125,
+        T=0.25, j_fine=4096,
         taus=(0.0625, 0.03125, 0.015625, 0.0078125),
         sigma="sine", sigma_amplitude=0.5, x0="cos", seed=1, n_paths=256,
     )

@@ -92,12 +92,15 @@ def test_usage_errors_exit_two(capsys):
 
 @pytest.mark.parametrize(
     "option",
-    ["--spectral-pad", "--quad-degree", "--record-stride", "--newton-max-iter", "--damping"],
-    ids=["spectral-pad", "quad-degree", "record-stride", "newton-max-iter", "damping"],
+    ["--spectral-pad", "--quad-degree", "--record-stride", "--newton-max-iter", "--damping",
+     "--path-index", "--t-anchor", "--x0-width"],
+    ids=["spectral-pad", "quad-degree", "record-stride", "newton-max-iter", "damping",
+         "path-index", "t-anchor", "x0-width"],
 )
 def test_removed_option_is_a_usage_error(capsys, option):
-    """The pad factor, quadrature degree, record stride and the Newton
-    iteration and halving caps are fixed, not options."""
+    """The pad factor, quadrature degree, record stride, the Newton iteration
+    and halving caps, simulate's path (0), the increments anchor (T/2) and
+    the tanh-layer width (0.1) are fixed, not options."""
     with pytest.raises(SystemExit) as exc:
         main(["simulate", option, "2"])
     assert exc.value.code == 2
@@ -131,17 +134,15 @@ def test_bad_flag_value_exits_two(capsys):
         (["simulate", "--sigma", "foo", "--x0", "bar"], ["sigma must be one of", "x0 must be one of"]),
         (["increments", "--j-fine", "0"], ["j_fine must be >= 1"]),
         (["increments", "--T", "0"], ["T must be positive"]),
-        (["increments", "--t-anchor", "inf"], ["t_anchor must be finite and nonnegative"]),
-        (["increments", "--taus=-0.0625,0.03125"], ["taus and t_anchor must be finite"]),
-        (["increments", "--taus=nan,0.03125"], ["taus and t_anchor must be finite"]),
+        (["increments", "--taus=-0.0625,0.03125"], ["taus must be finite and nonnegative"]),
+        (["increments", "--taus=nan,0.03125"], ["taus must be finite and nonnegative"]),
+        (["increments", "--taus", "0.25"], ["max(tau) = 0.25 exceeds the anchor T/2 = 0.125"]),
+        (["increments", "--j-fine", "4095"], ["the anchor T/2 needs an even j_fine (got 4095)"]),
         (["simulate", "--seed", str(2**64)], ["seed must be in [0, 2**64 - 1]"]),
-        (["simulate", "--path-index", str(2**64)], ["path_index must be in [0, 2**64 - 1]"]),
         (["simulate", "--sigma-amplitude", "nan"], ["sigma_amplitude must be finite"]),
         (["simulate", "--sigma-amplitude", "inf"], ["sigma_amplitude must be finite"]),
         (["simulate", "--x0", "constant:nan"], ["constant initial datum must be finite"]),
         (["simulate", "--x0", "constant:inf"], ["constant initial datum must be finite"]),
-        (["simulate", "--x0", "tanh-layer", "--x0-width", "inf"],
-         ["x0_width must be positive and finite"]),
         (
             ["simulate", "--T", "2", "--J", "1", "--R", "-1", "--newton-tol", "-1",
              "--n", "1", "--sigma", "foo"],
@@ -155,10 +156,9 @@ def test_bad_flag_value_exits_two(capsys):
         "negative-R", "negative-newton-tol", "infinite-newton-tol", "no-spectral-modes",
         "one-cell-mesh", "rate-time-reference", "one-cell-level", "spectral-rate-space",
         "spectral-moments", "spectral-check", "unknown-presets",
-        "zero-fine-steps", "zero-horizon", "infinite-anchor", "negative-tau",
-        "nan-tau", "seed-above-key", "path-index-above-key", "nan-sigma-amplitude",
+        "zero-fine-steps", "zero-horizon", "negative-tau",
+        "nan-tau", "tau-past-horizon", "odd-fine-steps", "seed-above-key", "nan-sigma-amplitude",
         "infinite-sigma-amplitude", "nan-constant-x0", "infinite-constant-x0",
-        "infinite-x0-width",
         "all-at-once",
     ],
 )
@@ -223,6 +223,18 @@ _SMALL_RUNS = {
 }
 
 
+def test_increments_anchor_follows_the_horizon(tmp_path, capsys):
+    """The increment study anchors at T/2, so a shorter horizon needs no
+    other setting."""
+    rc = main(["increments", "--T", "0.125", "--taus", "0.0625,0.03125",
+               "--spectral-modes", "8", "--j-fine", "64", "--n-paths", "2",
+               "-o", str(tmp_path)])
+    assert rc == 0
+    assert "increments tau 0.0625 -> 0.03125" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["t_anchor"] == 0.0625
+
+
 def test_config_echo_round_trips(tmp_path, capsys):
     """config.txt replays a run: `--config A/config.txt -o B` writes the same
     bytes as the run that wrote A.  A config file of another kind is a
@@ -266,7 +278,8 @@ def test_check_with_loose_newton_fails_with_json_line(capsys):
 @pytest.mark.parametrize(
     "argv,quiet",
     [
-        # the FEM study still warns in l2_project, the initial energy and stepper.step
+        # the FEM study still warns, but before any step: in l2_project's
+        # mass-solve norm and in the initial model.energy
         (["moments", "--levels", "4:4,8:8", "--n-paths", "2"], False),
         (["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
           "--n-paths", "2"], True),

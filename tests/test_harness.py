@@ -85,9 +85,9 @@ def test_plan_validation_spatial_levels():
 
 def test_plan_validation_increments():
     with pytest.raises(ValidationError):
-        ExperimentPlan(kind="increments", taus=(0.3,), t_anchor=0.125, T=0.25, j_fine=256).validate()
+        ExperimentPlan(kind="increments", taus=(0.3,), T=0.25, j_fine=256).validate()
     with pytest.raises(ValidationError):
-        ExperimentPlan(kind="increments", taus=(0.013,), t_anchor=0.125, T=0.25, j_fine=256).validate()
+        ExperimentPlan(kind="increments", taus=(0.013,), T=0.25, j_fine=256).validate()
     with pytest.raises(ValidationError):
         ExperimentPlan(kind="increments", solver="fem", taus=(0.0625,), j_fine=256).validate()
 
@@ -299,7 +299,7 @@ def test_moment_study_zero_noise_sup_at_time_zero():
 def test_increment_study_smoke():
     plan = ExperimentPlan(
         kind="increments", solver="spectral", spectral_modes=16, R=2 * np.pi,
-        T=0.25, j_fine=256, t_anchor=0.125, taus=(0.0625, 0.03125), n_paths=4,
+        T=0.25, j_fine=256, taus=(0.0625, 0.03125), n_paths=4,
     )
     res = increment_study(plan)
     taus = [e["tau"] for e in res.report["taus"]]
@@ -316,7 +316,7 @@ def test_increment_study_smoke():
 def test_increment_study_tau_zero_gives_zero():
     plan = ExperimentPlan(
         kind="increments", solver="spectral", spectral_modes=16, R=2 * np.pi,
-        T=0.25, j_fine=128, t_anchor=0.125, taus=(0.0625, 0.0), n_paths=2,
+        T=0.25, j_fine=128, taus=(0.0625, 0.0), n_paths=2,
     )
     res = increment_study(plan)
     by_tau = {e["tau"]: e["mean_sq_l2"]["mean"] for e in res.report["taus"]}

@@ -143,7 +143,7 @@ def test_initial_datum_presets():
     assert cos(np.zeros((1, 1)))[0] == pytest.approx(1.0)
     assert cos(np.full((1, 1), R))[0] == pytest.approx(1.0)  # periodic
 
-    layer = initial_datum("tanh-layer", R, width=0.2)
+    layer = initial_datum("tanh-layer", R)
     x = np.linspace(0, R, 101)[:, None]
     vals = layer(x)
     assert np.all(np.abs(vals) <= 1.0)
@@ -156,8 +156,6 @@ def test_initial_datum_presets():
         initial_datum("bump", R)
     with pytest.raises(ValidationError):
         initial_datum("constant:abc", R)
-    with pytest.raises(ValidationError):
-        initial_datum("tanh-layer", R, width=0.0)
 
 
 def test_initial_datum_2d_product_structure():

@@ -1,5 +1,7 @@
 """Implicit stepping: equilibria, dissipation, and the per-step energy identity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,21 @@ def test_fem_step_failure_names_the_batch_row(monkeypatch):
         backend.step(C, np.array([0.0, 0.05]), cfg)
     assert exc.value.residual > 0
     assert exc.value.residual == exc.value.__cause__.residual
+
+
+def test_overflowing_state_is_a_quiet_step_failure():
+    """A state whose residual overflows is reported by the finite guard,
+    with no numpy RuntimeWarning, by step and by FemBackend.step."""
+    space = _space(n=16)
+    backend = FemBackend(space, make_sigma("sine", 0.5))
+    cfg = SchemeConfig(k=0.01)
+    y0 = np.full(16, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure, match="not finite"):
+            step(space, backend.sigma, cfg, y0, 0.05)
+        with pytest.raises(StepFailure, match=r"not finite \(batch row 0\)$"):
+            backend.step(y0[None, :], np.array([0.05]), cfg)
 
 
 def test_converged_polish_takes_only_the_full_step(monkeypatch):
