@@ -316,7 +316,14 @@ def main(argv=None):
     try:
         result = _RUNNERS[args.kind](plan)
     except (ContractError, SolverError) as exc:
-        print(json17({"failed": True, "kind": args.kind, "error": type(exc).__name__, "message": str(exc)}))
+        # a StepFailure's residual norm; None when absent or not finite
+        residual = getattr(exc, "residual", None)
+        if residual is not None and not np.isfinite(residual):
+            residual = None
+        print(json17({
+            "failed": True, "kind": args.kind, "error": type(exc).__name__,
+            "message": str(exc), "residual": residual,
+        }))
         return 1
 
     if args.output_dir:

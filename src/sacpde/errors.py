@@ -19,14 +19,15 @@ class SolverError(RuntimeError):
 class StepFailure(SolverError):
     """The implicit time step did not converge.
 
-    The batched steps name the failing batch row in the message, and
-    `residual` keeps that row's last residual norm, so harness callers can
-    produce machine-readable failure reports.
+    The batched steps name the failing batch row in the message and in
+    `row`, and `residual` keeps that row's last residual norm, so harness
+    callers can produce machine-readable failure reports.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, row=None):
         super().__init__(message)
         self.residual = residual
+        self.row = row
 
 
 class ContractError(RuntimeError):

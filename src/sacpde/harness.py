@@ -19,7 +19,7 @@ from .mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
 from .model import initial_datum, make_sigma
 from .reports import VERSION, config_hash
 from .spectral import SpectralBackend, SpectralSpace
-from .stepper import FemBackend, SchemeConfig, run_trajectory
+from .stepper import FemBackend, SchemeConfig, located_step, run_trajectory
 from .stochastic import KEY_MAX, coarsen, mc_accumulate, sample_path, total_displacement
 from . import model
 
@@ -342,7 +342,7 @@ def simulate_study(plan):
     backend = plan.backend(sigma)
     traj = run_trajectory(
         backend, cfg, backend.initial(plan.x0_callable()), increments,
-        with_identity=plan.with_identity,
+        with_identity=plan.with_identity, where="simulate",
     )
     extra = {
         "solver": plan.solver,
@@ -372,11 +372,12 @@ def simulate_study(plan):
 
 
 class _Level:
-    """One coupled level: its backend and scheme config, the reference steps
-    per level step, and the map of its states into the reference space
-    (None: the same space)."""
+    """One coupled level: its name in failure reports, its backend and scheme
+    config, the reference steps per level step, and the map of its states
+    into the reference space (None: the same space)."""
 
-    def __init__(self, backend, cfg, factor, lift=None):
+    def __init__(self, name, backend, cfg, factor, lift=None):
+        self.name = name
         self.backend = backend
         self.cfg = cfg
         self.factor = factor
@@ -417,12 +418,15 @@ def _coupled_errors(plan, ref, ref_cfg, j_ref, levels):
     sup_l2 = [err[:, 0].copy() for err in by_time]
 
     for j in range(1, j_ref + 1):
-        C, _ = ref.step(C, dw[:, j - 1], ref_cfg)
+        C, _ = located_step(ref, C, dw[:, j - 1], ref_cfg, f"{plan.kind} reference", j)
         for i, lv in enumerate(levels):
             if j % lv.factor:
                 continue
             jl = j // lv.factor
-            states[i], _ = lv.backend.step(states[i], incs[i][:, jl - 1], lv.cfg)
+            states[i], _ = located_step(
+                lv.backend, states[i], incs[i][:, jl - 1], lv.cfg,
+                f"{plan.kind} level {lv.name}", jl,
+            )
             diff = lv.lifted(states[i]) - C
             by_time[i][:, jl] = ref.l2_sq(diff)
             np.maximum(sup_l2[i], by_time[i][:, jl], out=sup_l2[i])
@@ -501,7 +505,7 @@ def temporal_rate_study(plan):
         raise ValidationError(f"temporal_rate_study got plan kind {plan.kind!r}")
     backend = plan.backend(plan.make_sigma())
     levels = [
-        _Level(backend, plan.scheme_config(plan.T / L), plan.j_fine // int(L))
+        _Level(f"J={L}", backend, plan.scheme_config(plan.T / L), plan.j_fine // int(L))
         for L in plan.levels
     ]
     errors = _coupled_errors(
@@ -523,7 +527,7 @@ def spatial_rate_study(plan):
     for n in plan.levels:
         coarse = plan.fem_backend(sigma, n)
         lift = prolongation_matrix(coarse.space.mesh, ref.space.mesh)
-        levels.append(_Level(coarse, cfg, 1, lift))
+        levels.append(_Level(f"n={n}", coarse, cfg, 1, lift))
     errors = _coupled_errors(plan, ref, cfg, plan.J, levels)
     hs = [plan.R / n for n in plan.levels]
     return _rate_result(
@@ -559,7 +563,7 @@ def moment_study(plan):
         energies = np.empty((plan.n_paths, J + 1))
         energies[:, 0] = backend.energy(C[0]).total
         for j in range(1, J + 1):
-            C, _ = backend.step(C, inc[:, j - 1], cfg)
+            C, _ = located_step(backend, C, inc[:, j - 1], cfg, f"moments level {J}:{n}", j)
             energies[:, j] = [backend.energy(c).total for c in C]
 
         entry = {"J": J, "n": n, "k": k, "moments": {}}
@@ -637,21 +641,21 @@ def increment_study(plan):
     last_idx = anchor_idx + max(tau_steps)
     wanted = {anchor_idx} | {anchor_idx + s for s in tau_steps}
 
-    def sweep(backend, n_paths):
+    def sweep(backend, n_paths, where):
         """Squared increments of paths 0..n_paths-1, keyed by tau's step count."""
         paths = [sample_path(plan.seed, i, plan.T, plan.j_fine) for i in range(n_paths)]
         inc = np.stack([p.increments for p in paths])
         C = np.tile(backend.initial(x0), (n_paths, 1))
         snaps = {0: C}
         for j in range(1, last_idx + 1):
-            C, _ = backend.step(C, inc[:, j - 1], cfg)
+            C, _ = located_step(backend, C, inc[:, j - 1], cfg, where, j)
             if j in wanted:
                 snaps[j] = C
         base = snaps[anchor_idx]
         return {s: backend.l2_sq(snaps[anchor_idx + s] - base) for s in tau_steps}
 
     noisy = plan.spectral_backend(plan.make_sigma())
-    samples = sweep(noisy, plan.n_paths)
+    samples = sweep(noisy, plan.n_paths, "increments")
 
     entries = []
     rows = []
@@ -664,7 +668,9 @@ def increment_study(plan):
 
     # no-noise control: the deterministic flow is smooth in time, so its
     # squared increments scale like tau^2 (halving ratio about 0.25)
-    control_samples = sweep(SpectralBackend(noisy.space, make_sigma("zero")), 1)
+    control_samples = sweep(
+        SpectralBackend(noisy.space, make_sigma("zero")), 1, "increments control"
+    )
     control_means = [float(control_samples[s][0]) for s in tau_steps]
 
     report = _report_base(
@@ -709,14 +715,16 @@ def identity_suite(plan):
     cfg = plan.scheme_config(plan.T / plan.J)
     x0 = l2_project(space, plan.x0_callable())
 
-    def identity_run(backend, increments, y0=x0):
+    def identity_run(name, backend, increments, y0=x0, path=0):
         """The worst per-step identity residual, and whether every step passed."""
-        traj = run_trajectory(backend, cfg, y0, increments, with_identity=True)
+        traj = run_trajectory(
+            backend, cfg, y0, increments, with_identity=True, where=f"check {name}", path=path
+        )
         worst = max(check.residual for check in traj.identity)
         return traj, worst, all(check.passed for check in traj.identity)
 
     def identity_entry(name, backend, increments):
-        traj, worst, ok = identity_run(backend, increments)
+        traj, worst, ok = identity_run(name, backend, increments)
         if plan.lumped:
             status = "unexpected-pass" if ok else "expected-fail"
         else:
@@ -801,14 +809,17 @@ def identity_suite(plan):
 
     if plan.d == 1:
         spectral = plan.spectral_backend(sigma, 32)
+        name = f"spectral_identity_sigma_{sigma.name}"
         _, worst, sp_ok = identity_run(
+            name,
             spectral,
             sample_path(plan.seed, 1, plan.T, plan.J).increments,
             spectral.initial(plan.x0_callable()),
+            path=1,
         )
         entries.append(
             {
-                "name": f"spectral_identity_sigma_{sigma.name}",
+                "name": name,
                 "status": "pass" if sp_ok else "fail",
                 "max_residual": worst,
                 "modes": 32,

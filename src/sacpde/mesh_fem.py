@@ -150,6 +150,9 @@ class FemSpace:
         for a in (self._slot, self._indices, self._indptr):
             a.flags.writeable = False
         self._mass_lu = None
+        # k -> LinearOperator applying the LU of M + kA: the Newton
+        # preconditioner of stepper at d = 2, made and kept by stepper
+        self._linear_part_lu = {}
         self._phys_quad = None
         self._exact_twin = None
 
@@ -209,8 +212,15 @@ class FemSpace:
         if self._mass_lu is None:
             self._mass_lu = spla.splu(self.mass.tocsc(), permc_spec=LU_ORDERING)
         x = self._mass_lu.solve(rhs)
-        resid = np.linalg.norm(self.mass @ x - rhs)
-        if not resid <= MASS_SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
+        # an overflowing rhs is reported by the finite check, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.linalg.norm(self.mass @ x - rhs)
+            rnorm = np.linalg.norm(rhs)
+        if not (np.isfinite(resid) and np.isfinite(rnorm)):
+            raise SolverError(
+                f"mass solve residual {resid:.3e} or |rhs| {rnorm:.3e} is not finite"
+            )
+        if not resid <= MASS_SOLVE_RTOL * (1.0 + rnorm):
             raise SolverError(
                 f"mass solve residual {resid:.3e} exceeds contract "
                 f"{MASS_SOLVE_RTOL:.1e} * (1 + |rhs|)"

@@ -192,6 +192,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
         raise StepFailure(
             f"spectral Newton residual or its tolerance is not finite (batch row {row})",
             residual=float(rnorm[row]),
+            row=row,
         )
     iters = np.zeros(len(C), dtype=int)
     eta = np.full(len(C), _ETA_START)
@@ -204,6 +205,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
                 f"spectral Newton did not converge in {stepper.NEWTON_MAX_ITER} "
                 f"iterations (batch row {worst}, residual {rnorm[worst]:.3e})",
                 residual=float(rnorm[worst]),
+                row=int(worst),
             )
         sweeps += 1
         g = f_mixed_dy(u[open_rows], u_prev[open_rows])
@@ -233,6 +235,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
                 f"spectral Newton stalled with full damping (batch row {worst}, "
                 f"residual {rnorm[worst]:.3e})",
                 residual=float(rnorm[worst]),
+                row=int(worst),
             )
         iters[open_rows] += 1
         still = rnorm[open_rows] > scale[open_rows]

@@ -5,7 +5,10 @@ One step solves, for all test functions phi in the P1 space,
     (Y - Y_prev, phi) + k [ (grad Y, grad phi) + (f_mixed(Y, Y_prev), phi) ]
         = dW (sigma(Y_prev), phi),
 
-by damped Newton iteration with the exact Jacobian.  The two-level form of
+by damped Newton iteration with the exact Jacobian J = M + k(A + W).  Each
+Newton system is solved by a sparse LU of J at d = 1, and by CG at d >= 2:
+preconditioned at d = 2 by one LU of the linear part M + kA, cached by the
+space for each k, and at d = 3 by the diagonal of J.  The two-level form of
 the reaction term gives the scheme a per-step energy identity: testing with
 phi = -lap_h Y + proj f_mixed makes every term a perfect difference or a
 square, so the identity residual is rounding-level whenever the nonlinear
@@ -57,20 +60,42 @@ class StepDiagnostics:
         self.picard_fallbacks = 0
 
 
-def _solve_linear(space, J, rhs):
-    """Solve J x = rhs for the CSC system matrix J: sparse LU with the
-    LU_ORDERING column ordering for d <= 2, diagonally preconditioned CG for
-    d = 3.  There is no fallback: a failed factorization, a CG solve that
-    reports failure or a non-finite solution raises StepFailure, which keeps
-    |rhs|, the Newton residual norm."""
-    if space.mesh.d < 3:
+def _preconditioner(space, k, J):
+    """The preconditioner of the Newton system J at time step k, or None.
+
+    d = 1: None, for a sparse LU of J.  d = 2: the LU_ORDERING LU of the
+    linear part M + kA, factorized once per (space, k) and cached by the
+    space.  d = 3: the diagonal of J.  A failed factorization raises
+    RuntimeError, SuperLU's report of a singular factor.
+    """
+    d = space.mesh.d
+    if d == 1:
+        return None
+    if d == 3:
+        diag = J.diagonal()
+        return spla.LinearOperator(J.shape, lambda v: v / diag)
+    precond = space._linear_part_lu.get(k)
+    if precond is None:
+        lu = spla.splu((space.mass + k * space.stiffness).tocsc(), permc_spec=LU_ORDERING)
+        # the dtype spares scipy a probing solve on every new operator
+        precond = spla.LinearOperator(J.shape, lu.solve, dtype=float)
+        space._linear_part_lu[k] = precond
+    return precond
+
+
+def _solve_linear(precond, J, rhs):
+    """Solve J x = rhs for the CSC system matrix J: with no preconditioner, by
+    a sparse LU with the LU_ORDERING column ordering; otherwise by CG to the
+    relative residual 1e-12, preconditioned by `precond`.  There is no
+    fallback: a failed factorization, a CG solve that reports failure or a
+    non-finite solution raises StepFailure, which keeps |rhs|, the Newton
+    residual norm."""
+    if precond is None:
         try:
             x = spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
         except RuntimeError as exc:  # SuperLU's report of a singular factor
             raise _solve_failure(exc, rhs) from exc
     else:
-        diag = J.diagonal()
-        precond = spla.LinearOperator(J.shape, lambda v: v / diag)
         # J is symmetric, and J.T is its CSR view: faster products than CSC, no copy
         x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
         if info != 0:
@@ -91,8 +116,11 @@ def step(space, sigma, cfg, yp, dw):
     Newton starts from the previous value.  Until the residual meets the
     tolerance, each update is halved until the residual norm decreases (or
     meets the tolerance).  Then one polishing iteration takes the full update
-    if that lowers the residual.  Non-convergence, a failed linear solve, or
-    a first residual or tolerance that is not finite raises StepFailure.
+    if that lowers the residual.  Each update solves the Newton system with
+    `_preconditioner` and `_solve_linear`: at d = 2 the first update at a new
+    k factorizes M + kA, which every later step on the space reuses.
+    Non-convergence, a failed linear solve or factorization, or a first
+    residual or tolerance that is not finite raises StepFailure.
     """
     k = cfg.k
     M, A = space.mass, space.stiffness
@@ -106,7 +134,12 @@ def step(space, sigma, cfg, yp, dw):
         return M @ y + k * (A @ y + b) - rhs0, yq
 
     def newton_update(Fv, yq):
-        return _solve_linear(space, space.system_matrix(k, f_mixed_dy(yq, zq)), -Fv)
+        J = space.system_matrix(k, f_mixed_dy(yq, zq))
+        try:
+            precond = _preconditioner(space, k, J)
+        except RuntimeError as exc:
+            raise _solve_failure(exc, Fv) from exc
+        return _solve_linear(precond, J, -Fv)
 
     y = yp.copy()
     # an overflowing state is reported by the finite guard below, not by numpy
@@ -184,7 +217,7 @@ class FemBackend:
             try:
                 out[i], diag = step(self.space, self.sigma, cfg, C[i], dw[i])
             except StepFailure as exc:
-                raise StepFailure(f"{exc} (batch row {i})", residual=exc.residual) from exc
+                raise StepFailure(f"{exc} (batch row {i})", residual=exc.residual, row=i) from exc
             diags.append(diag)
         counters = {
             name: np.array([getattr(d, name) for d in diags])
@@ -232,11 +265,30 @@ class Trajectory:
         self.identity = identity
 
 
-def run_trajectory(backend, cfg, y0, increments, with_identity=False):
+def located_step(backend, C, dw, cfg, where, j, first_path=0):
+    """backend.step(C, dw, cfg), as step j of `where` (a study and its level).
+
+    Row i of the batch is path first_path + i, so a StepFailure is raised
+    again naming `where`, the step and the path, with the row's message,
+    residual and row kept.
+    """
+    try:
+        return backend.step(C, dw, cfg)
+    except StepFailure as exc:
+        raise StepFailure(
+            f"{where}, step {j}, path {first_path + exc.row}: {exc}",
+            residual=exc.residual,
+            row=exc.row,
+        ) from exc
+
+
+def run_trajectory(backend, cfg, y0, increments, with_identity=False, where="trajectory", path=0):
     """Step one prepared initial state through the given Brownian increments.
 
     y0 is a coefficient vector already on the backend's space, e.g.
-    `backend.initial(x0)`; the path runs as a one-row batch.
+    `backend.initial(x0)`; the path runs as a one-row batch.  A failed step
+    is reported as step j of `where` on `path`, the index of the increments'
+    path (see `located_step`).
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
@@ -248,7 +300,7 @@ def run_trajectory(backend, cfg, y0, increments, with_identity=False):
     diagnostics = []
     checks = []
     for j, dw in enumerate(inc, start=1):
-        y_new, counters = backend.step(y, inc[j - 1 : j], cfg)
+        y_new, counters = located_step(backend, y, inc[j - 1 : j], cfg, where, j, path)
         en_new = backend.energy(y_new[0])
         row = {
             "j": j,

@@ -276,19 +276,18 @@ def test_check_with_loose_newton_fails_with_json_line(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,quiet",
+    "argv,quiet,error",
     [
-        # the FEM study still warns, but before any step: in l2_project's
-        # mass-solve norm and in the initial model.energy
-        (["moments", "--levels", "4:4,8:8", "--n-paths", "2"], False),
+        # the FEM projection's mass solve finds the overflow before any step
+        (["moments", "--levels", "4:4,8:8", "--n-paths", "2"], True, "SolverError"),
         (["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
-          "--n-paths", "2"], True),
+          "--n-paths", "2"], True, "StepFailure"),
     ],
     ids=["fem-moments", "spectral-rate-time"],
 )
-def test_overflowing_state_is_a_step_failure(tmp_path, capsys, recwarn, argv, quiet):
-    """A datum whose norm overflows fails the first step; it is no nan report,
-    and the spectral step reports it without a numpy warning."""
+def test_overflowing_state_is_a_step_failure(tmp_path, capsys, recwarn, argv, quiet, error):
+    """A datum whose norm overflows fails the study before or at the first
+    step; it is no nan report, and no numpy warning is printed."""
     out_dir = tmp_path / "run"
     rc = main(argv + ["--x0", "constant:1e200", "-o", str(out_dir)])
     assert rc == 1
@@ -297,12 +296,27 @@ def test_overflowing_state_is_a_step_failure(tmp_path, capsys, recwarn, argv, qu
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["failed"] is True
-    assert payload["error"] == "StepFailure"
+    assert payload["error"] == error
     assert "nan" not in captured.out.lower()
     assert "Traceback" not in captured.err
     assert not (out_dir / "report.json").exists()
     if quiet:
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_step_failure_names_the_study_step_and_path(monkeypatch, capsys):
+    """A StepFailure inside a study reaches the JSON record with the study,
+    the level (here the reference), the step, the path and the residual."""
+    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 0)
+    rc = main(["rate-space", "--levels", "8,16", "--reference", "64", "--J", "8",
+               "--n-paths", "2"])
+    assert rc == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "StepFailure"
+    assert payload["message"].startswith("rate-space reference, step 1, path 0: ")
+    assert payload["residual"] > 0
 
 
 def test_failed_linear_solve_is_a_json_failure(monkeypatch, capsys):

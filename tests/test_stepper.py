@@ -207,8 +207,9 @@ def test_step_failure_raises(monkeypatch):
         step(space, ZERO, cfg, y0, 0.0)
     C = np.zeros((1, 9), dtype=complex)
     C[0, 0] = 3.0
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure) as info:
         step_batch(SpectralSpace(1.0, 8), ZERO, cfg, C, np.zeros(1))
+    assert info.value.row == 0
 
 
 def test_fem_step_failure_names_the_batch_row(monkeypatch):
@@ -221,6 +222,7 @@ def test_fem_step_failure_names_the_batch_row(monkeypatch):
     C = np.stack([np.zeros(16), backend.initial(initial_datum("cos", 1.0))])
     with pytest.raises(StepFailure, match=r"in 0 iterations .*\(batch row 1\)$") as exc:
         backend.step(C, np.array([0.0, 0.05]), cfg)
+    assert exc.value.row == 1
     assert exc.value.residual > 0
     assert exc.value.residual == exc.value.__cause__.residual
 
@@ -280,10 +282,19 @@ def test_three_dimensional_smoke():
         assert row["identity_residual"] <= thr
 
 
-@pytest.mark.parametrize("d,n", [(1, 32), (3, 4)])
-def test_failed_linear_solve_is_a_step_failure(monkeypatch, d, n):
-    """A failed factorization (d = 1) or CG solve (d = 3) ends the step: it is
-    not redone by another method, and the batch row and residual are kept."""
+@pytest.mark.parametrize(
+    "d,n,failing,expected",
+    [
+        pytest.param(1, 32, "splu", ["splu"], id="1-32"),
+        pytest.param(3, 4, "cg", ["cg"], id="3-4"),
+        pytest.param(2, 8, "splu", ["splu"], id="2-8-splu"),
+        pytest.param(2, 8, "cg", ["splu", "cg"], id="2-8-cg"),
+    ],
+)
+def test_failed_linear_solve_is_a_step_failure(monkeypatch, d, n, failing, expected):
+    """A failed factorization (of J at d = 1, of M + kA at d = 2) or CG solve
+    (d = 2 and 3) ends the step: it is not redone by another method, and the
+    batch row and residual are kept.  The other call works and is recorded."""
     space = _space(n=n, d=d)
     sig = make_sigma("sine", 0.5)
     y0 = l2_project(space, initial_datum("cos", 1.0))
@@ -291,28 +302,35 @@ def test_failed_linear_solve_is_a_step_failure(monkeypatch, d, n):
     # row 0, the zero state with no noise, has residual 0 and solves nothing
     C, dw = np.stack([np.zeros_like(y0), y0]), np.array([0.0, 0.05])
     calls = []
+    splu, cg = stepper.spla.splu, stepper.spla.cg
 
-    def failing_splu(J, *args, **kwargs):
+    def recording_splu(J, *args, **kwargs):
         calls.append("splu")
-        raise RuntimeError("Factor is exactly singular")
+        if failing == "splu":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(J, *args, **kwargs)
 
-    def failing_cg(J, rhs, **kwargs):
+    def recording_cg(J, rhs, **kwargs):
         calls.append("cg")
-        return np.zeros_like(rhs), 1
+        if failing == "cg":
+            return np.zeros_like(rhs), 1
+        return cg(J, rhs, **kwargs)
 
-    monkeypatch.setattr(stepper.spla, "splu", failing_splu)
-    monkeypatch.setattr(stepper.spla, "cg", failing_cg)
+    monkeypatch.setattr(stepper.spla, "splu", recording_splu)
+    monkeypatch.setattr(stepper.spla, "cg", recording_cg)
     with pytest.raises(StepFailure, match=r"linear solve failed.*\(batch row 1\)$") as info:
         backend.step(C, dw, SchemeConfig(k=0.01))
-    assert calls == (["splu"] if d < 3 else ["cg"])
+    assert calls == expected
+    assert info.value.row == 1
     assert info.value.residual > 0.0
 
 
 @pytest.mark.parametrize("d,n", [(2, 32), (3, 8)])
 def test_lu_ordering_reduces_fill(monkeypatch, d, n):
-    """The cached mass LU, and at d = 2 a Newton LU, each have fewer L+U
-    entries than SuperLU's default ordering gives for the same matrix.  At
-    d = 3 Newton solves by CG, so the mass LU is the only LU."""
+    """The cached mass LU, and at d = 2 the cached LU of M + kA that
+    preconditions Newton's CG, each have fewer L+U entries than SuperLU's
+    default ordering gives for the same matrix.  At d = 3 Newton's CG is
+    preconditioned by diag J, so the mass LU is the only LU."""
     space = _space(n=n, d=d)
     sig = make_sigma("sine", 0.5)
     y0 = l2_project(space, initial_datum("cos", 1.0))
@@ -336,3 +354,69 @@ def test_lu_ordering_reduces_fill(monkeypatch, d, n):
     else:
         assert newton == []
     assert fill(space._mass_lu) < fill(splu(space.mass.tocsc()))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of stepper.spla.<name>, which still does its work."""
+    calls = []
+    fn = getattr(stepper.spla, name)
+    monkeypatch.setattr(
+        stepper.spla, name, lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+    )
+    return calls
+
+
+def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
+    """At d = 2 every Newton system is solved by CG, preconditioned by one LU
+    of M + kA per (space, k): backends on one space share it, and another k
+    makes one more."""
+    space = _space(n=16, d=2)
+    y0 = l2_project(space, initial_datum("cos", 1.0))  # factorizes M before the count
+    inc = sample_path(1, 0, T=0.05, j_fine=5).increments
+    splu = _counting(monkeypatch, "splu")
+    cg = _counting(monkeypatch, "cg")
+    run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.01), y0, np.zeros(5))
+    assert len(splu) == 1
+    run_trajectory(FemBackend(space, make_sigma("sine", 0.5)), SchemeConfig(k=0.01), y0, inc)
+    assert len(splu) == 1
+    run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.02), y0, np.zeros(5))
+    assert len(splu) == 2
+    assert len(cg) >= 15  # at least one Newton iteration in each of the 15 steps
+    assert sorted(space._linear_part_lu) == [0.01, 0.02]
+
+
+def test_two_dimensional_step_agrees_with_the_direct_solve(monkeypatch):
+    """The preconditioned CG step and the step that factorizes J every
+    iteration both meet the Newton tolerance, so they agree to within what
+    it allows (in practice to rounding), and the identity holds."""
+    space = _space(n=16, d=2)
+    sig = make_sigma("sine", 0.5)
+    cfg = SchemeConfig(k=0.01)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    y_cg, diag_cg = step(space, sig, cfg, y0, 0.05)
+    monkeypatch.setattr(stepper, "_preconditioner", lambda space, k, J: None)
+    splu = _counting(monkeypatch, "splu")
+    y_lu, diag_lu = step(space, sig, cfg, y0, 0.05)
+    assert len(splu) >= diag_lu.newton_iters > 0  # one LU of J per update
+    scale = cfg.newton_tol * (1.0 + np.linalg.norm(space.mass @ y0))
+    assert diag_cg.residual_norm <= scale and diag_lu.residual_norm <= scale
+    np.testing.assert_allclose(y_cg, y_lu, rtol=0.0, atol=1e-10)
+    assert energy_identity_residual(space, sig, y0, y_cg, cfg.k, 0.05).residual <= 1e-10
+
+
+@pytest.mark.parametrize("c,amplitude", [(3.0, 3.0), (-3.0, 4.0), (10.0, 5.0)])
+def test_two_dimensional_large_steps_converge(monkeypatch, c, amplitude):
+    """At k = 0.9 from a far-off constant state with strong noise, J can lose
+    definiteness; the preconditioned CG step still converges, every step
+    meets the identity, and the space factorizes M + kA once."""
+    space = _space(n=16, d=2)
+    y0 = l2_project(space, initial_datum(f"constant:{c}", 1.0))
+    backend = FemBackend(space, make_sigma("sine", amplitude))
+    cfg = SchemeConfig(k=0.9)
+    inc = sample_path(1, 0, T=3.6, j_fine=4).increments
+    splu = _counting(monkeypatch, "splu")
+    cg = _counting(monkeypatch, "cg")
+    traj = run_trajectory(backend, cfg, y0, inc, with_identity=True)
+    assert len(splu) == 1 and len(cg) >= 4
+    for check in traj.identity:
+        assert check.passed
