@@ -9,15 +9,20 @@ padding is only exact for quadratic products, so the pad factor here is 2).
 
 The implicit step solves the same two-level scheme as the element stepper,
 by inexact Newton iteration in coefficient space with the exact Jacobian.
-Each Newton system is solved matrix-free (fixed point on the diagonal split
-plus FFT convolution) only as far as the row's forcing term asks
-(Eisenstat-Walker choice 2, tied to the row's outer residual); the outer
-residual still has to meet the Newton tolerance.  A row whose fixed point
-does not contract, because the time step is too large for the split, is
-solved densely over the full spectrum instead.  All per-path arithmetic is
-row-local, so stepping a batch of paths gives bit-identical results for any
-partition of the batch — the report reproducibility contract across path
-counts rests on this.
+Newton starts from the semi-implicit step, which takes the reaction term at
+the previous state and the linear part implicitly (Ascher, Ruuth & Wetton,
+SIAM J. Numer. Anal. 32, 1995); a row for which that has a larger residual
+than the previous state itself, as at large time steps, starts from the
+previous state.  Each Newton system is solved matrix-free (fixed point on
+the diagonal split plus FFT convolution) only as far as the row's forcing
+term asks (Eisenstat-Walker choice 2, tied to the row's outer residual); the
+outer residual still has to meet the Newton tolerance.  A row whose fixed
+point does not contract, because the time step is too large for the split,
+is solved densely over the full spectrum instead.  All per-path arithmetic
+is row-local, so stepping a batch of paths gives bit-identical results for
+any partition of the batch — the report reproducibility contract across
+path counts rests on this.  While every row of the batch is still open, the
+iterations work on whole arrays and not on gathered copies of the rows.
 """
 
 import numpy as np
@@ -58,10 +63,20 @@ class SpectralSpace:
         # weights of |c_m|^2 in the L2 norm: R for m=0, 2R otherwise
         self._l2w = np.full(self.n_modes + 1, 2.0 * self.R)
         self._l2w[0] = self.R
+        self._implicit_diagonals = {}
 
     @property
     def coeff_count(self):
         return self.n_modes + 1
+
+    def implicit_diagonal(self, k):
+        """D = 1 + k * eigenvalues, the linear part of the step at time step
+        k, made once per k and kept for the life of the space."""
+        D = self._implicit_diagonals.get(k)
+        if D is None:
+            D = self._implicit_diagonals[k] = 1.0 + k * self.eigenvalues
+            D.flags.writeable = False
+        return D
 
     # "forward" puts the 1/grid_size on rfft and none on irfft, and irfft
     # zero-pads the half-spectrum up to the grid itself
@@ -105,9 +120,11 @@ def spectral_project(space, g):
 
 def spectral_energy(space, coeffs):
     c = np.asarray(coeffs)
-    grad = 0.5 * float((np.real(c * np.conj(c)) * space.eigenvalues) @ space._l2w)
     u = space.to_grid(c)
-    psi = 0.25 * float(space.grid_integral((u * u - 1.0) ** 2))
+    # an overflowing state is reported by the step's finite guard, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = 0.5 * float((np.real(c * np.conj(c)) * space.eigenvalues) @ space._l2w)
+        psi = 0.25 * float(space.grid_integral((u * u - 1.0) ** 2))
     return EnergyBreakdown(grad, psi)
 
 
@@ -121,28 +138,39 @@ def _jacobi_linsolve(space, k, D, g, rhs, eta):
     is open after _INNER_CAP sweeps, does not contract and is re-solved
     densely over the full spectrum.  All stopping decisions are row-local.
     """
+    n = len(rhs)
     delta = rhs / D
-    target = eta * np.max(np.abs(delta), axis=-1)
-    prev_update = np.full(len(rhs), np.inf)
-    open_rows = np.arange(len(rhs))
-    dense = np.zeros(len(rhs), dtype=bool)
+    target = eta * np.abs(delta).max(axis=-1)
+    prev_update = np.full(n, np.inf)
+    open_rows = np.arange(n)
+    dense = []
     for _ in range(_INNER_CAP):
-        d_open = delta[open_rows]
-        new = (rhs[open_rows] - k * space.to_modes(g[open_rows] * space.to_grid(d_open))) / D
-        upd = np.max(np.abs(new - d_open), axis=-1)
-        floor = 1e-15 * (1.0 + np.max(np.abs(new), axis=-1))
-        delta[open_rows] = new
-        done = (upd <= target[open_rows]) | (upd <= floor)
-        grew = ~done & (upd >= prev_update[open_rows])
-        dense[open_rows[grew]] = True
-        prev_update[open_rows] = upd
+        rows = _all_or(open_rows, n)
+        d_open = delta[rows]
+        new = (rhs[rows] - k * space.to_modes(g[rows] * space.to_grid(d_open))) / D
+        upd = np.abs(new - d_open).max(axis=-1)
+        delta[rows] = new
+        done = upd <= target[rows]
+        if done.all():
+            break
+        done |= upd <= 1e-15 * (1.0 + np.abs(new).max(axis=-1))
+        grew = ~done & (upd >= prev_update[rows])
+        dense.extend(open_rows[grew])
+        prev_update[rows] = upd
         open_rows = open_rows[~(done | grew)]
         if len(open_rows) == 0:
             break
-    dense[open_rows] = True
-    for r in np.flatnonzero(dense):
+    else:
+        dense.extend(open_rows)
+    for r in dense:
         delta[r] = _dense_linsolve(space, k, D, g[r], rhs[r])
     return delta
+
+
+def _all_or(rows, n):
+    """The sorted row indices `rows` of an n-row batch as an index: while all
+    n rows are in it, slice(None), whose gathers are views and not copies."""
+    return slice(None) if len(rows) == n else rows
 
 
 def _dense_linsolve(space, k, D, g_row, rhs_row):
@@ -164,84 +192,97 @@ def step_batch(space, sigma, cfg, coeffs, dw):
     """Advance a batch of paths one step; rows are bitwise independent.
 
     coeffs: (P, K) half-spectra, dw: (P,) increments.  Returns
-    (new_coeffs, newton_iters, residual_norms).
+    (new_coeffs, newton_iters, residual_norms).  Newton starts, per row,
+    from whichever of C and the semi-implicit step y0 = C - F(C) / D has
+    the lower residual; choosing costs two transforms and no sweep.
     """
     C = np.asarray(coeffs, dtype=complex)
     if C.ndim != 2 or C.shape[1] != space.coeff_count:
         raise ValidationError(f"coeffs must have shape (P, {space.coeff_count})")
     dw = np.asarray(dw, dtype=float)
     k = cfg.k
-    D = 1.0 + k * space.eigenvalues
+    D = space.implicit_diagonal(k)
 
     u_prev = space.to_grid(C)
     if sigma.is_zero:
-        rhs0 = C.copy()
+        rhs0 = C
     else:
         rhs0 = C + dw[:, None] * space.to_modes(sigma(u_prev))
 
-    y = C.copy()
-    u = u_prev.copy()
     # an overflowing state is reported by the finite guard below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         scale = cfg.newton_tol * (1.0 + space.l2_norm(C))
-        Fv = _residual(space, y, u, u_prev, rhs0, D, k)
-        rnorm = space.l2_norm(Fv)
-    bad = ~(np.isfinite(rnorm) & np.isfinite(scale))
+        F_C = _residual(space, C, u_prev, u_prev, rhs0, D, k)
+        r_C = space.l2_norm(F_C)
+        # D y0 = rhs0 - k * f_mixed(u_prev, u_prev): reaction term explicit
+        y0 = C - F_C / D
+        u0 = space.to_grid(y0)
+        F0 = _residual(space, y0, u0, u_prev, rhs0, D, k)
+        r0 = space.l2_norm(F0)
+    bad = ~(np.isfinite(r_C) & np.isfinite(scale))
     if bad.any():
         row = int(np.argmax(bad))
         raise StepFailure(
             f"spectral Newton residual or its tolerance is not finite (batch row {row})",
-            residual=float(rnorm[row]),
+            residual=float(r_C[row]),
             row=row,
         )
-    iters = np.zeros(len(C), dtype=int)
-    eta = np.full(len(C), _ETA_START)
-    open_rows = np.arange(len(C))[rnorm > scale]
-    sweeps = 0
-    while len(open_rows):
-        if sweeps >= stepper.NEWTON_MAX_ITER:
-            worst = open_rows[np.argmax(rnorm[open_rows])]
+    # each row starts from whichever of C and y0 has the lower residual; a
+    # row whose y0 is not finite keeps C, since nan < r is false
+    y, u, Fv, rnorm = y0, u0, F0, r0
+    keep = ~(r0 < r_C)
+    if keep.any():
+        y[keep], u[keep], Fv[keep], rnorm[keep] = C[keep], u_prev[keep], F_C[keep], r_C[keep]
+
+    P = len(C)
+    iters = np.zeros(P, dtype=int)
+    eta = np.full(P, _ETA_START)
+    for sweep in range(stepper.NEWTON_MAX_ITER + 1):
+        open_rows = np.flatnonzero(rnorm > scale)
+        if len(open_rows) == 0:
+            break
+        rows = _all_or(open_rows, P)
+        if sweep == stepper.NEWTON_MAX_ITER:
+            worst = open_rows[np.argmax(rnorm[rows])]
             raise StepFailure(
                 f"spectral Newton did not converge in {stepper.NEWTON_MAX_ITER} "
                 f"iterations (batch row {worst}, residual {rnorm[worst]:.3e})",
                 residual=float(rnorm[worst]),
                 row=int(worst),
             )
-        sweeps += 1
-        g = f_mixed_dy(u[open_rows], u_prev[open_rows])
-        delta = _jacobi_linsolve(space, k, D, g, -Fv[open_rows], eta[open_rows])
+        if sweep:
+            # open rows were open in the last sweep too, whose start r_old holds
+            eta[rows] = _forcing_term(eta[rows], rnorm[rows], r_old[rows], scale[rows])
+        r_old = rnorm.copy()
+        g = f_mixed_dy(u[rows], u_prev[rows])
+        step = _jacobi_linsolve(space, k, D, g, -Fv[rows], eta[rows])
 
-        # accepted trials go straight into y, Fv, u and rnorm: a row leaves
-        # `pending` when accepted, so the search reads only unchanged rows
-        r_old = rnorm[open_rows]
-        lam = np.ones(len(open_rows))
-        pending = np.arange(len(open_rows))
+        # accepted trials go straight into y, Fv, u and rnorm; the rows still
+        # searching (`search`, with their directions `step`) are unchanged
+        search, lam = open_rows, 1.0
         for _ in range(stepper.DAMPING + 1):
-            rows = open_rows[pending]
-            trial = y[rows] + lam[pending, None] * delta[pending]
+            at = _all_or(search, P)
+            trial = y[at] + lam * step
             u_trial = space.to_grid(trial)
-            F_trial = _residual(space, trial, u_trial, u_prev[rows], rhs0[rows], D, k)
+            F_trial = _residual(space, trial, u_trial, u_prev[at], rhs0[at], D, k)
             r_trial = space.l2_norm(F_trial)
-            ok = (r_trial < rnorm[rows]) | (r_trial <= scale[rows])
-            acc = rows[ok]
-            y[acc], Fv[acc], u[acc], rnorm[acc] = trial[ok], F_trial[ok], u_trial[ok], r_trial[ok]
-            pending = pending[~ok]
-            if len(pending) == 0:
+            ok = (r_trial < rnorm[at]) | (r_trial <= scale[at])
+            if ok.all():
+                y[at], Fv[at], u[at], rnorm[at] = trial, F_trial, u_trial, r_trial
                 break
-            lam[pending] *= 0.5
-        if len(pending):
-            worst = open_rows[pending[0]]
+            acc = search[ok]
+            y[acc], Fv[acc], u[acc], rnorm[acc] = trial[ok], F_trial[ok], u_trial[ok], r_trial[ok]
+            search, step = search[~ok], step[~ok]
+            lam *= 0.5
+        else:
+            worst = search[0]
             raise StepFailure(
                 f"spectral Newton stalled with full damping (batch row {worst}, "
                 f"residual {rnorm[worst]:.3e})",
                 residual=float(rnorm[worst]),
                 row=int(worst),
             )
-        iters[open_rows] += 1
-        still = rnorm[open_rows] > scale[open_rows]
-        nxt = open_rows[still]
-        eta[nxt] = _forcing_term(eta[nxt], rnorm[nxt], r_old[still], scale[nxt])
-        open_rows = nxt
+        iters[rows] += 1
     return y, iters, rnorm
 
 

@@ -279,17 +279,28 @@ def test_check_with_loose_newton_fails_with_json_line(capsys):
     "argv,quiet,error",
     [
         # the FEM projection's mass solve finds the overflow before any step
-        (["moments", "--levels", "4:4,8:8", "--n-paths", "2"], True, "SolverError"),
+        (["moments", "--levels", "4:4,8:8", "--n-paths", "2", "--x0", "constant:1e200"],
+         True, "SolverError"),
         (["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
-          "--n-paths", "2"], True, "StepFailure"),
+          "--n-paths", "2", "--x0", "constant:1e200"], True, "StepFailure"),
+        # the datum projects, but its initial energy overflows
+        (["simulate", "--J", "4", "--x0", "constant:1e100"], True, "StepFailure"),
+        (["simulate", "--J", "4", "--x0", "constant:1e100", "--solver", "spectral"],
+         True, "StepFailure"),
+        (["moments", "--levels", "4:4,8:8", "--n-paths", "2", "--x0", "constant:1e100"],
+         True, "StepFailure"),
+        # here the gradient part of the spectral energy overflows too
+        (["simulate", "--J", "4", "--x0", "constant:1e200", "--solver", "spectral"],
+         True, "StepFailure"),
     ],
-    ids=["fem-moments", "spectral-rate-time"],
+    ids=["fem-moments", "spectral-rate-time", "fem-simulate-energy",
+         "spectral-simulate-energy", "fem-moments-energy", "spectral-simulate-gradient"],
 )
 def test_overflowing_state_is_a_step_failure(tmp_path, capsys, recwarn, argv, quiet, error):
-    """A datum whose norm overflows fails the study before or at the first
-    step; it is no nan report, and no numpy warning is printed."""
+    """A datum whose norm or energy overflows fails the study before or at
+    the first step; it is no nan report, and no numpy warning is printed."""
     out_dir = tmp_path / "run"
-    rc = main(argv + ["--x0", "constant:1e200", "-o", str(out_dir)])
+    rc = main(argv + ["-o", str(out_dir)])
     assert rc == 1
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()

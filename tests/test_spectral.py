@@ -28,6 +28,9 @@ def test_space_construction():
     assert sp.grid_size >= 4 * 16 + 1
     assert sp.eigenvalues[0] == 0.0
     assert sp.eigenvalues[1] == pytest.approx((2 * np.pi) ** 2)
+    D = sp.implicit_diagonal(0.01)
+    assert np.array_equal(D, 1.0 + 0.01 * sp.eigenvalues)
+    assert sp.implicit_diagonal(0.01) is D and not D.flags.writeable
     with pytest.raises(ValidationError):
         SpectralSpace(1.0, 0)
     with pytest.raises(ValidationError):
@@ -117,33 +120,63 @@ def test_constant_state_matches_scalar_reduction():
     np.testing.assert_allclose(np.abs(C1[0, 1:]), 0.0, atol=1e-14)
 
 
+def _semi_implicit_start_wins(sp, sig, cfg, C, dw):
+    """Per row, whether the semi-implicit step y0 = C - F(C)/D has a lower
+    Newton residual than C itself, so that Newton starts from y0."""
+    D = 1.0 + cfg.k * sp.eigenvalues
+    u = sp.to_grid(C)
+    rhs0 = C + dw[:, None] * sp.to_modes(sig(u))
+    F = spectral._residual(sp, C, u, u, rhs0, D, cfg.k)
+    y0 = C - F / D
+    F0 = spectral._residual(sp, y0, sp.to_grid(y0), u, rhs0, D, cfg.k)
+    return sp.l2_norm(F0) < sp.l2_norm(F)
+
+
+def _step_in_partitions(sp, sig, cfg, C, dw):
+    """One step of all rows; asserts that the rows stepped in two halves and
+    one at a time give the same bits.  Returns the Newton iterations."""
+    full, iters, _ = step_batch(sp, sig, cfg, C, dw)
+    h = len(C) // 2
+    first, _, _ = step_batch(sp, sig, cfg, C[:h], dw[:h])
+    second, _, _ = step_batch(sp, sig, cfg, C[h:], dw[h:])
+    assert np.array_equal(full, np.vstack([first, second]))
+    for i in range(len(C)):
+        alone, _, _ = step_batch(sp, sig, cfg, C[i : i + 1], dw[i : i + 1])
+        assert np.array_equal(full[i], alone[0])
+    return iters
+
+
 def test_batch_partition_is_bitwise_invariant():
     """Stepping rows together or in sub-batches gives identical bits, also
     when the rows need different numbers of Newton sweeps and so carry
-    different forcing terms."""
-    sp = SpectralSpace(1.0, 16)
-    cfg = SchemeConfig(k=0.01)
+    different forcing terms, and when some rows start Newton from the
+    semi-implicit step and others from the previous state."""
     sig = make_sigma("sine", 0.5)
     rng = np.random.default_rng(9)
     C = 0.2 * (rng.standard_normal((6, 17)) + 1j * rng.standard_normal((6, 17)))
     C[5] = 5.0 * C[5]
     C[:, 0] = C[:, 0].real
     dw = 0.05 * rng.standard_normal(6)
-    full, iters, _ = step_batch(sp, sig, cfg, C, dw)
+    iters = _step_in_partitions(SpectralSpace(1.0, 16), sig, SchemeConfig(k=0.01), C, dw)
     assert np.all(iters[5] != iters[:5])
-    first, _, _ = step_batch(sp, sig, cfg, C[:3], dw[:3])
-    second, _, _ = step_batch(sp, sig, cfg, C[3:], dw[3:])
-    assert np.array_equal(full, np.vstack([first, second]))
-    for i in range(6):
-        alone, _, _ = step_batch(sp, sig, cfg, C[i : i + 1], dw[i : i + 1])
-        assert np.array_equal(full[i], alone[0])
+
+    # k = 0.5 on amplitudes 0.1 to 3 of cos x with shifted phases: the two
+    # 3 cos x rows start from their previous state, the others from y0
+    sp, cfg = SpectralSpace(2 * np.pi, 12), SchemeConfig(k=0.5)
+    amps = np.array([0.5, 3.0, 1.0, 3.0, 2.0, 0.1])
+    C = spectral_project(sp, lambda x: np.cos(x[..., 0]))[None, :] * amps[:, None]
+    C = C * np.exp(0.3j * rng.standard_normal((6, 1)) * np.arange(13))
+    assert np.array_equal(_semi_implicit_start_wins(sp, sig, cfg, C, dw), amps < 3.0)
+    _step_in_partitions(sp, sig, cfg, C, dw)
 
 
 def test_inexact_newton_in_the_workload_regime(monkeypatch):
     """The benchmark's spectral regime: 8 modes, 64 paths of the cos datum at
-    the fine step k = 0.25/4096 with sigma = sin.  Every row meets its Newton
-    tolerance, and the forcing terms keep the transforms per step low (a
-    solve of every Newton system to rounding takes about 19)."""
+    the fine step k = 0.25/4096 with sigma = sin.  Started from the
+    semi-implicit step, every row meets its Newton tolerance after one sweep,
+    and the forcing terms keep the transforms per step low (a solve of every
+    Newton system to rounding takes about 19; the start from the previous
+    state took two sweeps)."""
     sp = SpectralSpace(2 * np.pi, 8)
     cfg = SchemeConfig(k=0.25 / 4096)
     sig = make_sigma("sine", 1.0)
@@ -157,9 +190,10 @@ def test_inexact_newton_in_the_workload_regime(monkeypatch):
         )
     for j in range(16):
         tol = cfg.newton_tol * (1.0 + sp.l2_norm(C))
-        C, _, rnorm = step_batch(sp, sig, cfg, C, inc[:, j])
+        C, iters, rnorm = step_batch(sp, sig, cfg, C, inc[:, j])
         assert np.all(rnorm <= tol)
-    assert len(calls) / 16 <= 14
+        assert np.all(iters == 1)
+    assert len(calls) / 16 <= 10
 
 
 def test_spectral_energy_identity_holds():
@@ -196,8 +230,13 @@ def test_large_step_falls_back_to_dense_solve(monkeypatch):
     sp = SpectralSpace(2 * np.pi, 12)
     cfg = SchemeConfig(k=0.5, newton_tol=1e-12)
     y0 = spectral_project(sp, lambda x: 3.0 * np.cos(x[..., 0]))
-    C1, _, rnorm = step_batch(sp, ZERO, cfg, y0[None, :], np.zeros(1))
-    assert calls
+    C1, iters, rnorm = step_batch(sp, ZERO, cfg, y0[None, :], np.zeros(1))
+    # the semi-implicit start is worse here, so the row starts from its
+    # previous state and pays what it did from there: five sweeps, each
+    # with one dense solve
+    assert not _semi_implicit_start_wins(sp, ZERO, cfg, y0[None, :], np.zeros(1))[0]
+    assert iters[0] == 5
+    assert len(calls) == 5
     assert rnorm[0] <= cfg.newton_tol * (1.0 + sp.l2_norm(y0))
     check = spectral_energy_identity_residual(sp, ZERO, y0, C1[0], cfg.k, 0.0)
     assert check.residual <= max(IDENTITY_ATOL, IDENTITY_RTOL * abs(check.lhs))
