@@ -16,16 +16,11 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import quadrature
 from .errors import SolverError, ValidationError
 
 MASS_SOLVE_RTOL = 1e-12
-# Column ordering of every sparse LU of an element matrix: minimum degree on
-# the pattern of A^T + A, which fits these symmetric patterns.  SuperLU's
-# default (COLAMD, on A^T A) gives about twice the fill.
-LU_ORDERING = "MMD_AT_PLUS_A"
 
 
 class PeriodicMesh:
@@ -102,6 +97,14 @@ class PeriodicMesh:
 class FemSpace:
     """P1 space on a PeriodicMesh plus assembled mass/stiffness operators.
 
+    Every cell of the periodic grid holds the same simplices, so M, A and
+    M + kA are multilevel circulant: the n^d-point real FFT of a first
+    column, reshaped to (n,)*d, is the operator's spectrum (Strang 1986;
+    Chan & Ng 1996).  The space keeps the spectra m̂ and â of M and A,
+    real since both are symmetric, and `fft_solve` solves against any such
+    spectrum: `solve_mass` with m̂, and the d = 3 Newton preconditioner of
+    stepper with `linear_part_spectrum(k)`, m̂ + k·â.
+
     ``lumped=True`` switches every integral to the nodal vertex rule,
     which diagonalises the mass matrix but is exact only to degree 1, so
     the per-step energy identity no longer holds to rounding (the identity
@@ -149,7 +152,10 @@ class FemSpace:
         self._slot = np.searchsorted(cols * dofs + self._indices, self._cols * dofs + self._rows)
         for a in (self._slot, self._indices, self._indptr):
             a.flags.writeable = False
-        self._mass_lu = None
+        self._grid = (mesh.n,) * mesh.d
+        self.mass_spectrum = self._spectrum(self.mass)
+        self.stiffness_spectrum = self._spectrum(self.stiffness)
+        self._linear_part_spectra = {}
         # k -> LinearOperator applying the LU of M + kA: the Newton
         # preconditioner of stepper at d = 2, made and kept by stepper
         self._linear_part_lu = {}
@@ -163,6 +169,14 @@ class FemSpace:
             (np.asarray(data).ravel(), (self._rows, self._cols)), shape=self._shape
         )
         return coo.tocsr()
+
+    def _spectrum(self, matrix):
+        """Real spectrum of a circulant element matrix, shape (n,)*(d-1) +
+        (n//2+1,); read-only."""
+        column = matrix[:, [0]].toarray().reshape(self._grid)
+        spectrum = np.ascontiguousarray(np.fft.rfftn(column).real)
+        spectrum.flags.writeable = False
+        return spectrum
 
     def system_matrix(self, k, weight_values):
         """Sparse M + k*(A + W) with W the weighted mass for ``weight_values``.
@@ -206,14 +220,27 @@ class FemSpace:
 
     # -- linear algebra -----------------------------------------------------
 
+    def linear_part_spectrum(self, k):
+        """m̂ + k·â, the spectrum of M + kA at time step k, made once per k
+        and kept for the life of the space."""
+        spectrum = self._linear_part_spectra.get(k)
+        if spectrum is None:
+            spectrum = self.mass_spectrum + k * self.stiffness_spectrum
+            spectrum.flags.writeable = False
+            self._linear_part_spectra[k] = spectrum
+        return spectrum
+
+    def fft_solve(self, spectrum, rhs):
+        """Solve C x = rhs for the circulant C whose spectrum is given."""
+        values = np.fft.rfftn(np.reshape(rhs, self._grid)) / spectrum
+        return np.fft.irfftn(values, s=self._grid, axes=range(self.mesh.d)).ravel()
+
     def solve_mass(self, rhs):
-        """Solve M x = rhs with the cached LU_ORDERING factorization, checking
+        """Solve M x = rhs by `fft_solve` with the mass spectrum, checking
         the residual."""
-        if self._mass_lu is None:
-            self._mass_lu = spla.splu(self.mass.tocsc(), permc_spec=LU_ORDERING)
-        x = self._mass_lu.solve(rhs)
         # an overflowing rhs is reported by the finite check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
+            x = self.fft_solve(self.mass_spectrum, rhs)
             resid = np.linalg.norm(self.mass @ x - rhs)
             rnorm = np.linalg.norm(rhs)
         if not (np.isfinite(resid) and np.isfinite(rnorm)):

@@ -336,7 +336,8 @@ def test_failed_linear_solve_is_a_json_failure(monkeypatch, capsys):
     def failing_splu(J, *args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    # only the stepper's view: the mass-matrix LU of the projection still works
+    # only the stepper's view; the projection's mass solve is an FFT solve
+    # and makes no LU, so the d = 1 Newton LU of J is the first to fail
     monkeypatch.setattr(stepper, "spla", SimpleNamespace(splu=failing_splu))
     rc = main(["simulate", "--n", "16", "--J", "4", "--T", "0.02"])
     assert rc == 1

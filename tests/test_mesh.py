@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sacpde.errors import ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
@@ -137,6 +138,52 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     scattered = np.zeros(space.mesh.dof_count)
     np.add.at(scattered, space.mesh.elements, be)
     assert np.array_equal(space.load_vector(values), scattered)
+
+
+_SPECTRUM_CASES = pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
+_LUMPING = pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
+
+
+@_LUMPING
+@_SPECTRUM_CASES
+def test_fft_mass_solve_agrees_with_the_direct_solve(d, n, lumped):
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    rhs = np.random.default_rng(n).standard_normal(n**d)
+    ref = spla.spsolve(space.mass.tocsc(), rhs)
+    x = space.solve_mass(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@_LUMPING
+@_SPECTRUM_CASES
+def test_linear_part_spectrum_gives_the_sparse_product(d, n, lumped):
+    """(M + kA) v as the circulant product of m̂ + k·â with v."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    v = np.random.default_rng(n).standard_normal(n**d)
+    k = 0.3
+    grid = (n,) * d
+    spectral = np.fft.rfftn(v.reshape(grid)) * space.linear_part_spectrum(k)
+    got = np.fft.irfftn(spectral, s=grid, axes=range(d)).ravel()
+    ref = (space.mass + k * space.stiffness) @ v
+    assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@_LUMPING
+@_SPECTRUM_CASES
+def test_spectra_are_real_and_positive(d, n, lumped):
+    """m̂ and m̂ + k·â are real, positive and read-only, on the rfftn grid;
+    â is the stiffness spectrum, zero at the constant mode to rounding."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    shape = (n,) * (d - 1) + (n // 2 + 1,)
+    a_hat = space.stiffness_spectrum
+    assert a_hat.dtype == np.float64 and a_hat.shape == shape
+    assert a_hat.min() >= -1e-14 * a_hat.max()
+    for spectrum in (space.mass_spectrum, space.linear_part_spectrum(0.3)):
+        assert spectrum.dtype == np.float64 and spectrum.shape == shape
+        assert spectrum.min() > 0.0
+        assert not spectrum.flags.writeable
+    if lumped:  # a lumped M is a constant diagonal
+        np.testing.assert_allclose(space.mass_spectrum, space.mass.diagonal()[0], rtol=1e-15)
 
 
 def test_l2_projection_of_constant_is_exact():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from sacpde import stepper
 from sacpde.errors import StepFailure, ValidationError
@@ -327,21 +328,24 @@ def test_failed_linear_solve_is_a_step_failure(monkeypatch, d, n, failing, expec
 
 @pytest.mark.parametrize("d,n", [(2, 32), (3, 8)])
 def test_lu_ordering_reduces_fill(monkeypatch, d, n):
-    """The cached mass LU, and at d = 2 the cached LU of M + kA that
-    preconditions Newton's CG, each have fewer L+U entries than SuperLU's
-    default ordering gives for the same matrix.  At d = 3 Newton's CG is
-    preconditioned by diag J, so the mass LU is the only LU."""
+    """At d = 2 the cached LU of M + kA that preconditions Newton's CG has
+    fewer L+U entries than SuperLU's default ordering gives for the same
+    matrix.  No other sparse LU is made: `solve_mass` is an FFT solve, and
+    at d = 3 so is Newton's preconditioner, so d = 3 makes none at all."""
     space = _space(n=n, d=d)
     sig = make_sigma("sine", 0.5)
-    y0 = l2_project(space, initial_datum("cos", 1.0))
-    splu = stepper.spla.splu
-    newton = []
+    splu = spla.splu
+    calls = []
 
     def recording_splu(J, *args, **kwargs):
-        newton.append((J, splu(J, *args, **kwargs)))
-        return newton[-1][1]
+        calls.append((J, splu(J, *args, **kwargs)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(stepper.spla, "splu", recording_splu)
+    # every module's view of scipy.sparse.linalg, not only the stepper's
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    space.solve_mass(space.stiffness @ y0)
+    assert calls == []
     step(space, sig, SchemeConfig(k=0.01), y0, 0.05)
     monkeypatch.undo()
 
@@ -349,11 +353,11 @@ def test_lu_ordering_reduces_fill(monkeypatch, d, n):
         return lu.L.nnz + lu.U.nnz
 
     if d < 3:
-        J, lu = newton[0]
+        assert len(calls) == 1
+        J, lu = calls[0]
         assert fill(lu) < fill(splu(J))
     else:
-        assert newton == []
-    assert fill(space._mass_lu) < fill(splu(space.mass.tocsc()))
+        assert calls == []
 
 
 def _counting(monkeypatch, name):
@@ -371,7 +375,7 @@ def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
     of M + kA per (space, k): backends on one space share it, and another k
     makes one more."""
     space = _space(n=16, d=2)
-    y0 = l2_project(space, initial_datum("cos", 1.0))  # factorizes M before the count
+    y0 = l2_project(space, initial_datum("cos", 1.0))
     inc = sample_path(1, 0, T=0.05, j_fine=5).increments
     splu = _counting(monkeypatch, "splu")
     cg = _counting(monkeypatch, "cg")
@@ -383,6 +387,31 @@ def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
     assert len(splu) == 2
     assert len(cg) >= 15  # at least one Newton iteration in each of the 15 steps
     assert sorted(space._linear_part_lu) == [0.01, 0.02]
+
+
+def test_three_dimensional_newton_makes_one_spectrum_per_space_and_k(monkeypatch):
+    """At d = 3 every Newton system is solved by CG, preconditioned by the
+    FFT solve against one spectrum of M + kA per (space, k): backends on one
+    space share it, another k makes one more, and no sparse LU is made."""
+    space = _space(n=8, d=3)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    inc = sample_path(1, 0, T=0.05, j_fine=5).increments
+    splu = _counting(monkeypatch, "splu")
+    cg = _counting(monkeypatch, "cg")
+    used = []
+    fft_solve = space.fft_solve
+    monkeypatch.setattr(
+        space, "fft_solve", lambda spectrum, v: used.append(spectrum) or fft_solve(spectrum, v)
+    )
+    run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.01), y0, np.zeros(5))
+    first = space.linear_part_spectrum(0.01)
+    run_trajectory(FemBackend(space, make_sigma("sine", 0.5)), SchemeConfig(k=0.01), y0, inc)
+    assert space.linear_part_spectrum(0.01) is first and not first.flags.writeable
+    run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.02), y0, np.zeros(5))
+    assert splu == []
+    assert len(cg) >= 15  # at least one Newton iteration in each of the 15 steps
+    assert sorted(space._linear_part_spectra) == [0.01, 0.02]
+    assert {id(s) for s in used} == {id(first), id(space.linear_part_spectrum(0.02))}
 
 
 def test_two_dimensional_step_agrees_with_the_direct_solve(monkeypatch):
@@ -420,3 +449,21 @@ def test_two_dimensional_large_steps_converge(monkeypatch, c, amplitude):
     assert len(splu) == 1 and len(cg) >= 4
     for check in traj.identity:
         assert check.passed
+
+
+@pytest.mark.parametrize("c,amplitude", [(3.0, 3.0), (-3.0, 4.0), (10.0, 5.0)])
+def test_three_dimensional_large_steps_converge(monkeypatch, c, amplitude):
+    """The d = 3 twin of the d = 2 large-step test: at k = 0.9 the CG step
+    preconditioned by the spectrum of M + kA converges with no sparse LU,
+    and every identity residual is at most 1e-10."""
+    space = _space(n=8, d=3)
+    y0 = l2_project(space, initial_datum(f"constant:{c}", 1.0))
+    backend = FemBackend(space, make_sigma("sine", amplitude))
+    cfg = SchemeConfig(k=0.9)
+    inc = sample_path(1, 0, T=3.6, j_fine=4).increments
+    splu = _counting(monkeypatch, "splu")
+    cg = _counting(monkeypatch, "cg")
+    traj = run_trajectory(backend, cfg, y0, inc, with_identity=True)
+    assert splu == [] and len(cg) >= 4
+    for check in traj.identity:
+        assert check.residual <= 1e-10
