@@ -5,16 +5,19 @@ One step solves, for all test functions phi in the P1 space,
     (Y - Y_prev, phi) + k [ (grad Y, grad phi) + (f_mixed(Y, Y_prev), phi) ]
         = dW (sigma(Y_prev), phi),
 
-by damped Newton iteration with the exact Jacobian J = M + k(A + W).  Each
-Newton system is solved by a sparse LU of J at d = 1, and by CG at d >= 2,
-preconditioned by the linear part M + kA, made once per (space, k): at
-d = 2 by its LU, cached by stepper on the space, and at d = 3 by the FFT
-solve against its spectrum, which the space caches.  The two-level form of
-the reaction term gives the scheme a per-step energy identity: testing with
-phi = -lap_h Y + proj f_mixed makes every term a perfect difference or a
-square, so the identity residual is rounding-level whenever the nonlinear
-solve is tight.  `energy_identity_residual` evaluates exactly that defect
-and is the core structural diagnostic of the package.
+by a Newton iteration with the exact Jacobian J = M + k(A + W), formed once
+per time step and held: each later update is solved with the held J, and J
+is formed again, at the current iterate, only when a held update does not
+cut the residual tenfold.  Each J is solved by its sparse LU at d = 1, and
+by CG at d >= 2, preconditioned by the linear part M + kA, made once per
+(space, k): at d = 2 by its LU, cached by stepper on the space, and at
+d = 3 by the FFT solve against its spectrum, which the space caches.  The
+two-level form of the reaction term gives the scheme a per-step energy
+identity: testing with phi = -lap_h Y + proj f_mixed makes every term a
+perfect difference or a square, so the identity residual is rounding-level
+whenever the nonlinear solve is tight.  `energy_identity_residual`
+evaluates exactly that defect and is the core structural diagnostic of the
+package.
 """
 
 import numpy as np
@@ -24,10 +27,10 @@ from .errors import StepFailure, ValidationError
 from .mesh_fem import l2_project
 from .model import energy, f_mixed_dy, nonlinear_load, sigma_load
 
-# Column ordering of the two sparse LUs of the Newton step, of J at d = 1 and
-# of M + kA at d = 2: minimum degree on the pattern of A^T + A, which fits
-# these symmetric patterns.  SuperLU's default (COLAMD, on A^T A) gives about
-# twice the fill.
+# Column ordering of the two sparse LUs of the Newton step: of J at d = 1,
+# one per Jacobian formed, and of M + kA at d = 2, one per (space, k).
+# Minimum degree on the pattern of A^T + A, which fits these symmetric
+# patterns.  SuperLU's default (COLAMD, on A^T A) gives about twice the fill.
 LU_ORDERING = "MMD_AT_PLUS_A"
 
 IDENTITY_ATOL = 1e-10
@@ -58,12 +61,15 @@ class SchemeConfig:
 class StepDiagnostics:
     # picard_fallbacks is always 0, since the step has no fallback; it stays
     # because perfbench/layers.py reads it; FemBackend.step does not report it
-    __slots__ = ("newton_iters", "residual_norm", "damping_halvings", "picard_fallbacks")
+    __slots__ = (
+        "newton_iters", "residual_norm", "damping_halvings", "jacobians", "picard_fallbacks"
+    )
 
-    def __init__(self, newton_iters, residual_norm, damping_halvings):
+    def __init__(self, newton_iters, residual_norm, damping_halvings, jacobians):
         self.newton_iters = newton_iters
         self.residual_norm = residual_norm
         self.damping_halvings = damping_halvings
+        self.jacobians = jacobians
         self.picard_fallbacks = 0
 
 
@@ -94,17 +100,22 @@ def _preconditioner(space, k, J):
 
 
 def _solve_linear(precond, J, rhs):
-    """Solve J x = rhs for the CSC system matrix J: with no preconditioner, by
-    a sparse LU with the LU_ORDERING column ordering; otherwise by CG to the
-    relative residual 1e-12, preconditioned by `precond`.  There is no
-    fallback: a failed factorization, a CG solve that reports failure or a
-    non-finite solution raises StepFailure, which keeps |rhs|, the Newton
-    residual norm."""
+    """Solve J x = rhs for the CSC system matrix J; returns x and the
+    `precond` that solves J again.
+
+    precond is None: a sparse LU of J with the LU_ORDERING column ordering,
+    returned as the next precond; a SuperLU of J: a solve by it; otherwise
+    CG to the relative residual 1e-12, preconditioned by `precond`.  There
+    is no fallback: a failed factorization, a CG solve that reports failure
+    or a non-finite solution raises StepFailure, which keeps |rhs|, the
+    Newton residual norm."""
     if precond is None:
         try:
-            x = spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
+            precond = spla.splu(J, permc_spec=LU_ORDERING)
         except RuntimeError as exc:  # SuperLU's report of a singular factor
             raise _solve_failure(exc, rhs) from exc
+    if isinstance(precond, spla.SuperLU):
+        x = precond.solve(rhs)
     else:
         # J is symmetric, and J.T is its CSR view: faster products than CSC, no copy
         x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
@@ -112,7 +123,7 @@ def _solve_linear(precond, J, rhs):
             raise _solve_failure(f"CG reported info {info}", rhs)
     if not np.all(np.isfinite(x)):
         raise _solve_failure("non-finite Newton update", rhs)
-    return x
+    return x, precond
 
 
 def _solve_failure(reason, rhs):
@@ -123,13 +134,17 @@ def _solve_failure(reason, rhs):
 def step(space, sigma, cfg, yp, dw):
     """Advance one step; returns (coeffs, StepDiagnostics).
 
-    Newton starts from the previous value.  Until the residual meets the
-    tolerance, each update is halved until the residual norm decreases (or
-    meets the tolerance).  Then one polishing iteration takes the full update
-    if that lowers the residual.  Each update solves the Newton system with
-    `_preconditioner` and `_solve_linear`: at d >= 2 the first update at a
-    new k prepares M + kA (d = 2: its LU, d = 3: its spectrum), which every
-    later step on the space reuses.
+    Newton starts from the previous value and forms J at its first update.
+    Each later update is first solved with the held J, and its full step is
+    kept if it cuts the residual norm at least tenfold or meets the
+    tolerance.  Otherwise J is formed again at the current iterate, and that
+    update is halved until the residual norm decreases (or meets the
+    tolerance).  Once the tolerance is met, one polishing update with the
+    held J is kept if it lowers the residual.  Forming J means
+    `system_matrix`, `_preconditioner` and, at d = 1, one LU in
+    `_solve_linear`, through which every update is solved; at d >= 2 the
+    first J at a new k prepares M + kA (d = 2: its LU, d = 3: its
+    spectrum), which every later step on the space reuses.
     Non-convergence, a failed linear solve or factorization, or a first
     residual or tolerance that is not finite raises StepFailure.
     """
@@ -144,13 +159,16 @@ def step(space, sigma, cfg, yp, dw):
         b = space.load_vector(0.5 * (yq * yq - 1.0) * (yq + zq))
         return M @ y + k * (A @ y + b) - rhs0, yq
 
-    def newton_update(Fv, yq):
+    def trial(y_trial):
+        F_trial, yq_trial = residual(y_trial)
+        return y_trial, F_trial, yq_trial, np.linalg.norm(F_trial)
+
+    def form_jacobian(Fv, yq):
         J = space.system_matrix(k, f_mixed_dy(yq, zq))
         try:
-            precond = _preconditioner(space, k, J)
+            return J, _preconditioner(space, k, J)
         except RuntimeError as exc:
             raise _solve_failure(exc, Fv) from exc
-        return _solve_linear(precond, J, -Fv)
 
     y = yp.copy()
     # an overflowing state is reported by the finite guard below, not by numpy
@@ -162,6 +180,8 @@ def step(space, sigma, cfg, yp, dw):
         raise StepFailure("Newton residual or its tolerance is not finite", residual=rnorm)
     iters = 0
     halvings_total = 0
+    jacobians = 0
+    J = None  # the held Jacobian, formed at an earlier iterate of this step
     while rnorm > scale:
         if iters >= NEWTON_MAX_ITER:
             raise StepFailure(
@@ -169,11 +189,18 @@ def step(space, sigma, cfg, yp, dw):
                 f"(residual {rnorm:.3e}, target {scale:.3e})",
                 residual=rnorm,
             )
-        delta = newton_update(Fv, yq)
+        if J is not None:
+            delta, precond = _solve_linear(precond, J, -Fv)
+            y_trial, F_trial, yq_trial, r_trial = trial(y + delta)
+            if r_trial <= 0.1 * rnorm or r_trial <= scale:
+                y, Fv, yq, rnorm = y_trial, F_trial, yq_trial, r_trial
+                iters += 1
+                continue
+        J, precond = form_jacobian(Fv, yq)
+        jacobians += 1
+        delta, precond = _solve_linear(precond, J, -Fv)
         for halvings in range(DAMPING + 1):
-            y_trial = y + 0.5**halvings * delta
-            F_trial, yq_trial = residual(y_trial)
-            r_trial = np.linalg.norm(F_trial)
+            y_trial, F_trial, yq_trial, r_trial = trial(y + 0.5**halvings * delta)
             if r_trial < rnorm or r_trial <= scale:
                 break
         else:
@@ -187,16 +214,21 @@ def step(space, sigma, cfg, yp, dw):
         halvings_total += halvings
     # One polishing iteration after the tolerance is met: the energy-identity
     # defect picks up residual * |w| with |w| ~ |lap_h Y|, so stopping exactly
-    # at the tolerance is not tight enough on fine meshes, while a single
-    # full step lands the residual on its rounding floor.  A halved step
-    # cannot gain more than rounding once the tolerance is met.
+    # at the tolerance is not tight enough on fine meshes, while one more
+    # full update with the held J cuts the residual by the factor that J
+    # contracts by.  A halved step cannot gain more than rounding once the
+    # tolerance is met.  J is formed here only if the first residual already
+    # met the tolerance.
     if rnorm > 0.0:
-        y_trial = y + newton_update(Fv, yq)
+        if J is None:
+            J, precond = form_jacobian(Fv, yq)
+            jacobians += 1
+        y_trial = y + _solve_linear(precond, J, -Fv)[0]
         r_trial = np.linalg.norm(residual(y_trial)[0])
         if r_trial < rnorm:
             y, rnorm = y_trial, r_trial
             iters += 1
-    return y, StepDiagnostics(iters, rnorm, halvings_total)
+    return y, StepDiagnostics(iters, rnorm, halvings_total, jacobians)
 
 
 class FemBackend:
@@ -232,7 +264,7 @@ class FemBackend:
             diags.append(diag)
         counters = {
             name: np.array([getattr(d, name) for d in diags])
-            for name in ("newton_iters", "residual_norm", "damping_halvings")
+            for name in ("newton_iters", "residual_norm", "damping_halvings", "jacobians")
         }
         return out, counters
 

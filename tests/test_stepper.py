@@ -244,29 +244,34 @@ def test_overflowing_state_is_a_quiet_step_failure():
 
 
 def test_converged_polish_takes_only_the_full_step(monkeypatch):
-    """Once the tolerance is met, the polishing iteration tries the full
-    Newton step only.  If that does not lower the residual the step stops,
-    after one extra residual evaluation instead of DAMPING + 1 halved ones."""
+    """A held-Jacobian update that does not cut the residual tenfold, and a
+    polishing update that does not lower it, are each rejected after one
+    residual evaluation instead of DAMPING + 1 halved ones; a rejected held
+    update is followed by a Jacobian formed at the same iterate."""
     space = FemSpace(PeriodicMesh(1, 2 * np.pi, 8))
-    cfg = SchemeConfig(k=0.1)
     calls = []
     load_vector = FemSpace.load_vector
     monkeypatch.setattr(
         FemSpace, "load_vector", lambda self, v: calls.append(1) or load_vector(self, v)
     )
-    y = l2_project(space, initial_datum("cos", 2 * np.pi))
-    rejected = 0
-    for _ in range(16):
-        calls.clear()
-        y, diag = step(space, ZERO, cfg, y, 0.0)
-        # one load vector per residual: the first, each accepted iterate and
-        # each rejected trial; sigma = 0 assembles none
-        trials = len(calls) - 1 - diag.newton_iters
-        assert diag.damping_halvings == 0
-        assert trials in (0, 1)
-        rejected += trials
-    # the polishes of steps 8, 9, 10 and 13 cannot improve on the rounding floor
-    assert rejected >= 1
+    held_rejected = polish_rejected = 0
+    # a large step, where the held Jacobian contracts weakly at first, then
+    # a state next to the well, whose polish cannot improve on rounding
+    for k, y in (
+        (0.9, l2_project(space, initial_datum("cos", 2 * np.pi))),
+        (0.1, 1.0 + 1e-9 * np.cos(np.arange(8.0))),
+    ):
+        for _ in range(4):
+            calls.clear()
+            y, diag = step(space, ZERO, SchemeConfig(k=k), y, 0.0)
+            # one load vector per residual: the first, each accepted iterate
+            # and each rejected trial; sigma = 0 assembles none
+            trials = len(calls) - 1 - diag.newton_iters
+            assert diag.damping_halvings == 0 and diag.jacobians >= 1
+            assert trials - (diag.jacobians - 1) in (0, 1)
+            held_rejected += diag.jacobians - 1
+            polish_rejected += trials - (diag.jacobians - 1)
+    assert held_rejected >= 1 and polish_rejected >= 1
 
 
 def test_three_dimensional_smoke():
@@ -370,6 +375,44 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def test_one_dimensional_step_forms_one_jacobian_per_step(monkeypatch):
+    """At a small k every update after the first is solved with the held
+    Jacobian: each step assembles J once and factorizes it once."""
+    space = _space(n=32)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    inc = sample_path(1, 0, T=0.25, j_fine=64).increments[:8]
+    assembled = []
+    system_matrix = FemSpace.system_matrix
+    monkeypatch.setattr(
+        FemSpace, "system_matrix", lambda *args: assembled.append(1) or system_matrix(*args)
+    )
+    splu = _counting(monkeypatch, "splu")
+    traj = run_trajectory(
+        FemBackend(space, make_sigma("sine", 0.5)), SchemeConfig(k=0.25 / 64), y0, inc
+    )
+    jacobians = sum(row["jacobians"] for row in traj.diagnostics)
+    assert len(splu) == len(assembled) == len(inc) == jacobians
+    assert all(row["newton_iters"] > 1 for row in traj.diagnostics)
+
+
+def test_large_steps_form_the_jacobian_again(monkeypatch):
+    """At k = 0.9 from the constant state 10 with noise amplitude 5, the held
+    Jacobian does not contract well enough at some iterate and J is formed
+    again there; the damped updates take 1 and 8 halvings in steps 3 and 4,
+    and every identity residual is at most 1e-10."""
+    space = _space(n=16)
+    backend = FemBackend(space, make_sigma("sine", 5.0))
+    y0 = backend.initial(initial_datum("constant:10", 1.0))
+    inc = sample_path(1, 0, T=3.6, j_fine=4).increments
+    splu = _counting(monkeypatch, "splu")
+    traj = run_trajectory(backend, SchemeConfig(k=0.9), y0, inc, with_identity=True)
+    rows = traj.diagnostics
+    assert [row["damping_halvings"] for row in rows] == [0, 0, 1, 8]
+    assert max(row["jacobians"] for row in rows) > 1
+    assert len(splu) == sum(row["jacobians"] for row in rows)
+    assert max(check.residual for check in traj.identity) <= 1e-10
+
+
 def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
     """At d = 2 every Newton system is solved by CG, preconditioned by one LU
     of M + kA per (space, k): backends on one space share it, and another k
@@ -415,8 +458,8 @@ def test_three_dimensional_newton_makes_one_spectrum_per_space_and_k(monkeypatch
 
 
 def test_two_dimensional_step_agrees_with_the_direct_solve(monkeypatch):
-    """The preconditioned CG step and the step that factorizes J every
-    iteration both meet the Newton tolerance, so they agree to within what
+    """The preconditioned CG step and the step that factorizes each Jacobian
+    it forms both meet the Newton tolerance, so they agree to within what
     it allows (in practice to rounding), and the identity holds."""
     space = _space(n=16, d=2)
     sig = make_sigma("sine", 0.5)
@@ -426,7 +469,7 @@ def test_two_dimensional_step_agrees_with_the_direct_solve(monkeypatch):
     monkeypatch.setattr(stepper, "_preconditioner", lambda space, k, J: None)
     splu = _counting(monkeypatch, "splu")
     y_lu, diag_lu = step(space, sig, cfg, y0, 0.05)
-    assert len(splu) >= diag_lu.newton_iters > 0  # one LU of J per update
+    assert len(splu) == diag_lu.jacobians >= 1  # one LU per Jacobian formed
     scale = cfg.newton_tol * (1.0 + np.linalg.norm(space.mass @ y0))
     assert diag_cg.residual_norm <= scale and diag_lu.residual_norm <= scale
     np.testing.assert_allclose(y_cg, y_lu, rtol=0.0, atol=1e-10)
