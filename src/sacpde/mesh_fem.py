@@ -103,7 +103,7 @@ class FemSpace:
     Chan & Ng 1996).  The space keeps the spectra m̂ and â of M and A,
     real since both are symmetric, and `fft_solve` solves against any such
     spectrum: `solve_mass` with m̂, and the d = 3 Newton preconditioner of
-    stepper with `linear_part_spectrum(k)`, m̂ + k·â.
+    stepper with m̂ + k·â, made once per k and kept in `_preconditioners`.
 
     ``lumped=True`` switches every integral to the nodal vertex rule,
     which diagonalises the mass matrix but is exact only to degree 1, so
@@ -127,8 +127,8 @@ class FemSpace:
 
         el = mesh.elements
         nl = mesh.d + 1
-        self._rows = np.repeat(el, nl, axis=1).ravel()
-        self._cols = np.tile(el, (1, nl)).ravel()
+        rows = np.repeat(el, nl, axis=1).ravel()
+        cols = np.tile(el, (1, nl)).ravel()
         self._shape = (mesh.dof_count, mesh.dof_count)
 
         vol = mesh.volumes[:, None, None]
@@ -136,38 +136,32 @@ class FemSpace:
             self._wjk.sum(axis=0), (len(el), nl, nl)
         ) * vol
         stiff_data = np.einsum("ejd,ekd->ejk", mesh.grads, mesh.grads) * vol
-        self.mass = self._from_data(mass_data)
-        self.stiffness = self._from_data(stiff_data)
+        self.mass = self._from_data(mass_data, rows, cols)
+        self.stiffness = self._from_data(stiff_data, rows, cols)
         self._mass_data = mass_data.ravel()
         self._stiff_data = stiff_data.ravel()
         # CSC pattern of M + A (every element coupling) and the slot in it of
         # each element entry; read-only, since every system matrix shares it
-        pattern = sp.csc_matrix(
-            (np.ones(len(self._rows)), (self._rows, self._cols)), shape=self._shape
-        )
+        pattern = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=self._shape)
         self._indices, self._indptr = pattern.indices, pattern.indptr
         # canonical CSC: the (column, row) keys of the slots are sorted
         dofs = mesh.dof_count
-        cols = np.repeat(np.arange(dofs), np.diff(self._indptr))
-        self._slot = np.searchsorted(cols * dofs + self._indices, self._cols * dofs + self._rows)
+        slot_cols = np.repeat(np.arange(dofs), np.diff(self._indptr))
+        self._slot = np.searchsorted(slot_cols * dofs + self._indices, cols * dofs + rows)
         for a in (self._slot, self._indices, self._indptr):
             a.flags.writeable = False
         self._grid = (mesh.n,) * mesh.d
         self.mass_spectrum = self._spectrum(self.mass)
         self.stiffness_spectrum = self._spectrum(self.stiffness)
-        self._linear_part_spectra = {}
-        # k -> LinearOperator applying the LU of M + kA: the Newton
-        # preconditioner of stepper at d = 2, made and kept by stepper
-        self._linear_part_lu = {}
-        self._phys_quad = None
+        # k -> the Newton preconditioner of stepper at d >= 2, a
+        # LinearOperator that solves M + kA; made and kept by stepper
+        self._preconditioners = {}
         self._exact_twin = None
 
     # -- assembly helpers -------------------------------------------------
 
-    def _from_data(self, data):
-        coo = sp.coo_matrix(
-            (np.asarray(data).ravel(), (self._rows, self._cols)), shape=self._shape
-        )
+    def _from_data(self, data, rows, cols):
+        coo = sp.coo_matrix((np.asarray(data).ravel(), (rows, cols)), shape=self._shape)
         return coo.tocsr()
 
     def _spectrum(self, matrix):
@@ -199,11 +193,8 @@ class FemSpace:
         return np.asarray(coeffs)[self.mesh.elements] @ self.quad_points.T
 
     def physical_quad_points(self):
-        if self._phys_quad is None:
-            self._phys_quad = np.einsum(
-                "qj,ejd->eqd", self.quad_points, self.mesh.corners
-            )
-        return self._phys_quad
+        """Positions of all quadrature points, shape (E, Q, d)."""
+        return np.einsum("qj,ejd->eqd", self.quad_points, self.mesh.corners)
 
     def integrate(self, values):
         """Integral over the torus of per-quadrature-point values (..., E, Q)."""
@@ -219,16 +210,6 @@ class FemSpace:
         )
 
     # -- linear algebra -----------------------------------------------------
-
-    def linear_part_spectrum(self, k):
-        """m̂ + k·â, the spectrum of M + kA at time step k, made once per k
-        and kept for the life of the space."""
-        spectrum = self._linear_part_spectra.get(k)
-        if spectrum is None:
-            spectrum = self.mass_spectrum + k * self.stiffness_spectrum
-            spectrum.flags.writeable = False
-            self._linear_part_spectra[k] = spectrum
-        return spectrum
 
     def fft_solve(self, spectrum, rhs):
         """Solve C x = rhs for the circulant C whose spectrum is given."""

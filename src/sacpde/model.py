@@ -139,20 +139,18 @@ def sigma_load(space, sigma, u):
 def monotonicity_gap(space, y1, y2):
     """Defect of the one-sided drift estimate; nonpositive up to rounding.
 
-    Computes <drift(y1) - drift(y2), e> + |grad e|^2 - |e|^2 with
-    e = y1 - y2, where the drift pairing is -(grad e, grad e) minus the
-    well-term pairing.  The constant 1 in front of |e|^2 is the curvature
-    bound of the double well (psi'' >= -1), so the exact value is <= 0;
-    callers compare against a rounding allowance proportional to 1 + |e|^2.
+    The defect is <drift(y1) - drift(y2), e> + |grad e|^2 - |e|^2 with
+    e = y1 - y2, where the drift pairing is -|grad e|^2 minus the well-term
+    pairing (dpsi(y1) - dpsi(y2), e).  The gradient terms cancel exactly, so
+    it is computed as -(dpsi(y1) - dpsi(y2), e) - |e|^2.  The constant 1 in
+    front of |e|^2 is the curvature bound of the double well (psi'' >= -1),
+    so the exact value is <= 0; callers compare against a rounding allowance
+    proportional to 1 + |e|^2.
     """
-    e = y1 - y2
-    grad_sq = e @ (space.stiffness @ e)
     q1 = space.element_values(y1)
     q2 = space.element_values(y2)
-    eq = space.element_values(e)
-    well_pair = space.integrate((dpsi(q1) - dpsi(q2)) * eq)
-    drift_pair = -grad_sq - well_pair
-    return drift_pair + grad_sq - e @ (space.mass @ e)
+    e = y1 - y2
+    return -space.integrate((dpsi(q1) - dpsi(q2)) * (q1 - q2)) - e @ (space.mass @ e)
 
 
 # -- initial-datum presets ----------------------------------------------------

@@ -39,7 +39,7 @@ def _render(obj, out):
                 out.append(",")
             _render(item, out)
         out.append("]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+    elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -66,7 +66,7 @@ def write_json(path, obj):
 
 
 def csv_cell(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))

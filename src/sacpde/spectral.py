@@ -63,20 +63,10 @@ class SpectralSpace:
         # weights of |c_m|^2 in the L2 norm: R for m=0, 2R otherwise
         self._l2w = np.full(self.n_modes + 1, 2.0 * self.R)
         self._l2w[0] = self.R
-        self._implicit_diagonals = {}
 
     @property
     def coeff_count(self):
         return self.n_modes + 1
-
-    def implicit_diagonal(self, k):
-        """D = 1 + k * eigenvalues, the linear part of the step at time step
-        k, made once per k and kept for the life of the space."""
-        D = self._implicit_diagonals.get(k)
-        if D is None:
-            D = self._implicit_diagonals[k] = 1.0 + k * self.eigenvalues
-            D.flags.writeable = False
-        return D
 
     # "forward" puts the 1/grid_size on rfft and none on irfft, and irfft
     # zero-pads the half-spectrum up to the grid itself
@@ -201,7 +191,7 @@ def step_batch(space, sigma, cfg, coeffs, dw):
         raise ValidationError(f"coeffs must have shape (P, {space.coeff_count})")
     dw = np.asarray(dw, dtype=float)
     k = cfg.k
-    D = space.implicit_diagonal(k)
+    D = 1.0 + k * space.eigenvalues
 
     u_prev = space.to_grid(C)
     if sigma.is_zero:

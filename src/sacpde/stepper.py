@@ -9,15 +9,14 @@ by a Newton iteration with the exact Jacobian J = M + k(A + W), formed once
 per time step and held: each later update is solved with the held J, and J
 is formed again, at the current iterate, only when a held update does not
 cut the residual tenfold.  Each J is solved by its sparse LU at d = 1, and
-by CG at d >= 2, preconditioned by the linear part M + kA, made once per
-(space, k): at d = 2 by its LU, cached by stepper on the space, and at
-d = 3 by the FFT solve against its spectrum, which the space caches.  The
-two-level form of the reaction term gives the scheme a per-step energy
-identity: testing with phi = -lap_h Y + proj f_mixed makes every term a
-perfect difference or a square, so the identity residual is rounding-level
-whenever the nonlinear solve is tight.  `energy_identity_residual`
-evaluates exactly that defect and is the core structural diagnostic of the
-package.
+by CG at d >= 2, preconditioned by a solve with the linear part M + kA (its
+LU at d = 2, its FFT spectrum at d = 3), made once per (space, k) and kept
+on the space.  The two-level form of the reaction term gives the scheme a
+per-step energy identity: testing with phi = -lap_h Y + proj f_mixed makes
+every term a perfect difference or a square, so the identity residual is
+rounding-level whenever the nonlinear solve is tight.
+`energy_identity_residual` evaluates exactly that defect and is the core
+structural diagnostic of the package.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import StepFailure, ValidationError
 from .mesh_fem import l2_project
-from .model import energy, f_mixed_dy, nonlinear_load, sigma_load
+from .model import energy, f_mixed, f_mixed_dy, nonlinear_load, sigma_load
 
 # Column ordering of the two sparse LUs of the Newton step: of J at d = 1,
 # one per Jacobian formed, and of M + kA at d = 2, one per (space, k).
@@ -76,26 +75,29 @@ class StepDiagnostics:
 def _preconditioner(space, k, J):
     """The preconditioner of the Newton system J at time step k, or None.
 
-    d = 1: None, for a sparse LU of J.  d = 2: the LU_ORDERING LU of the
-    linear part M + kA, factorized once per (space, k) and cached on the
-    space; a failed factorization raises RuntimeError, SuperLU's report of
-    a singular factor.  d = 3: the FFT solve against the spectrum of M + kA,
-    which the space makes once per k.
+    d = 1: None, for a sparse LU of J.  d >= 2: a LinearOperator that solves
+    the linear part M + kA, made at the first call for (space, k) and kept
+    on the space: at d = 2 by its LU_ORDERING LU, whose failure raises
+    RuntimeError, SuperLU's report of a singular factor; at d = 3 by the FFT
+    solve against its spectrum m̂ + k·â.
     """
-    d = space.mesh.d
-    if d == 1:
+    if space.mesh.d == 1:
         return None
-    if d == 3:
-        spectrum = space.linear_part_spectrum(k)
-        return spla.LinearOperator(
-            J.shape, lambda v: space.fft_solve(spectrum, v), dtype=float
-        )
-    precond = space._linear_part_lu.get(k)
+    precond = space._preconditioners.get(k)
     if precond is None:
-        lu = spla.splu((space.mass + k * space.stiffness).tocsc(), permc_spec=LU_ORDERING)
+        if space.mesh.d == 2:
+            lu = spla.splu((space.mass + k * space.stiffness).tocsc(), permc_spec=LU_ORDERING)
+            solve = lu.solve
+        else:
+            import weakref
+
+            # a weak reference, since the space keeps the operator: a cycle
+            # would hold a finished space's arrays until the next GC pass
+            spectrum = space.mass_spectrum + k * space.stiffness_spectrum
+            space_ref = weakref.ref(space)
+            solve = lambda v: space_ref().fft_solve(spectrum, v)
         # the dtype spares scipy a probing solve on every new operator
-        precond = spla.LinearOperator(J.shape, lu.solve, dtype=float)
-        space._linear_part_lu[k] = precond
+        precond = space._preconditioners[k] = spla.LinearOperator(J.shape, solve, dtype=float)
     return precond
 
 
@@ -143,8 +145,8 @@ def step(space, sigma, cfg, yp, dw):
     held J is kept if it lowers the residual.  Forming J means
     `system_matrix`, `_preconditioner` and, at d = 1, one LU in
     `_solve_linear`, through which every update is solved; at d >= 2 the
-    first J at a new k prepares M + kA (d = 2: its LU, d = 3: its
-    spectrum), which every later step on the space reuses.
+    first J at a new k makes the preconditioner, which every later step on
+    the space reuses.
     Non-convergence, a failed linear solve or factorization, or a first
     residual or tolerance that is not finite raises StepFailure.
     """
@@ -156,7 +158,7 @@ def step(space, sigma, cfg, yp, dw):
 
     def residual(y):
         yq = space.element_values(y)
-        b = space.load_vector(0.5 * (yq * yq - 1.0) * (yq + zq))
+        b = space.load_vector(f_mixed(yq, zq))
         return M @ y + k * (A @ y + b) - rhs0, yq
 
     def trial(y_trial):

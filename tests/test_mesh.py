@@ -115,9 +115,11 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
 
     wdata = np.tensordot(w, space._wjk, axes=(1, 0)) * space.mesh.volumes[:, None, None]
-    ref = space._from_data(
-        space._mass_data + k * (space._stiff_data + wdata.ravel())
-    ).tocsc()
+    el = space.mesh.elements
+    rows = np.repeat(el, d + 1, axis=1).ravel()
+    cols = np.tile(el, (1, d + 1)).ravel()
+    data = space._mass_data + k * (space._stiff_data + wdata.ravel())
+    ref = sp.coo_matrix((data, (rows, cols)), shape=J.shape).tocsc()
     assert np.array_equal(ref.indptr, indptr) and np.array_equal(ref.indices, indices)
     if d == 1:
         assert np.array_equal(J.data, ref.data)
@@ -162,7 +164,8 @@ def test_linear_part_spectrum_gives_the_sparse_product(d, n, lumped):
     v = np.random.default_rng(n).standard_normal(n**d)
     k = 0.3
     grid = (n,) * d
-    spectral = np.fft.rfftn(v.reshape(grid)) * space.linear_part_spectrum(k)
+    spectrum = space.mass_spectrum + k * space.stiffness_spectrum
+    spectral = np.fft.rfftn(v.reshape(grid)) * spectrum
     got = np.fft.irfftn(spectral, s=grid, axes=range(d)).ravel()
     ref = (space.mass + k * space.stiffness) @ v
     assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
@@ -171,17 +174,18 @@ def test_linear_part_spectrum_gives_the_sparse_product(d, n, lumped):
 @_LUMPING
 @_SPECTRUM_CASES
 def test_spectra_are_real_and_positive(d, n, lumped):
-    """m̂ and m̂ + k·â are real, positive and read-only, on the rfftn grid;
-    â is the stiffness spectrum, zero at the constant mode to rounding."""
+    """m̂ and m̂ + k·â are real and positive, on the rfftn grid; â is the
+    stiffness spectrum, zero at the constant mode to rounding; the stored m̂
+    and â are read-only."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     shape = (n,) * (d - 1) + (n // 2 + 1,)
     a_hat = space.stiffness_spectrum
     assert a_hat.dtype == np.float64 and a_hat.shape == shape
     assert a_hat.min() >= -1e-14 * a_hat.max()
-    for spectrum in (space.mass_spectrum, space.linear_part_spectrum(0.3)):
+    assert not a_hat.flags.writeable and not space.mass_spectrum.flags.writeable
+    for spectrum in (space.mass_spectrum, space.mass_spectrum + 0.3 * a_hat):
         assert spectrum.dtype == np.float64 and spectrum.shape == shape
         assert spectrum.min() > 0.0
-        assert not spectrum.flags.writeable
     if lumped:  # a lumped M is a constant diagonal
         np.testing.assert_allclose(space.mass_spectrum, space.mass.diagonal()[0], rtol=1e-15)
 

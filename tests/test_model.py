@@ -126,6 +126,26 @@ def test_monotonicity_gap_nonpositive(d, n):
         assert gap <= 1e-12 * (1.0 + e @ (space.mass @ e))
 
 
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (3, 4)])
+def test_monotonicity_gap_matches_the_literal_formula(d, n):
+    """The closed form agrees with <drift(y1) - drift(y2), e> + |grad e|^2
+    - |e|^2 evaluated term by term: the stiffness product, and the well
+    pairing against the element values of e."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        y1 = rng.uniform(-3, 3, space.mesh.dof_count)
+        y2 = rng.uniform(-3, 3, space.mesh.dof_count)
+        e = y1 - y2
+        grad_sq = e @ (space.stiffness @ e)
+        l2_sq = e @ (space.mass @ e)
+        q1, q2, eq = (space.element_values(v) for v in (y1, y2, e))
+        well_pair = space.integrate((dpsi(q1) - dpsi(q2)) * eq)
+        literal = (-grad_sq - well_pair) + grad_sq - l2_sq
+        gap = monotonicity_gap(space, y1, y2)
+        assert abs(gap - literal) <= 1e-12 * (1.0 + grad_sq + l2_sq)
+
+
 def test_monotonicity_gap_scales_quadratically():
     """For small perturbations the gap shrinks like eps^2 (no linear leak)."""
     space = FemSpace(PeriodicMesh(1, 1.0, 32))

@@ -28,9 +28,6 @@ def test_space_construction():
     assert sp.grid_size >= 4 * 16 + 1
     assert sp.eigenvalues[0] == 0.0
     assert sp.eigenvalues[1] == pytest.approx((2 * np.pi) ** 2)
-    D = sp.implicit_diagonal(0.01)
-    assert np.array_equal(D, 1.0 + 0.01 * sp.eigenvalues)
-    assert sp.implicit_diagonal(0.01) is D and not D.flags.writeable
     with pytest.raises(ValidationError):
         SpectralSpace(1.0, 0)
     with pytest.raises(ValidationError):

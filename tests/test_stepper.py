@@ -1,6 +1,8 @@
 """Implicit stepping: equilibria, dissipation, and the per-step energy identity."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -429,13 +431,14 @@ def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
     run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.02), y0, np.zeros(5))
     assert len(splu) == 2
     assert len(cg) >= 15  # at least one Newton iteration in each of the 15 steps
-    assert sorted(space._linear_part_lu) == [0.01, 0.02]
+    assert sorted(space._preconditioners) == [0.01, 0.02]
 
 
 def test_three_dimensional_newton_makes_one_spectrum_per_space_and_k(monkeypatch):
     """At d = 3 every Newton system is solved by CG, preconditioned by the
-    FFT solve against one spectrum of M + kA per (space, k): backends on one
-    space share it, another k makes one more, and no sparse LU is made."""
+    FFT solve against the spectrum m̂ + k·â of M + kA, one operator per
+    (space, k): backends on one space share it, another k makes one more,
+    and no sparse LU is made."""
     space = _space(n=8, d=3)
     y0 = l2_project(space, initial_datum("cos", 1.0))
     inc = sample_path(1, 0, T=0.05, j_fine=5).increments
@@ -447,14 +450,36 @@ def test_three_dimensional_newton_makes_one_spectrum_per_space_and_k(monkeypatch
         space, "fft_solve", lambda spectrum, v: used.append(spectrum) or fft_solve(spectrum, v)
     )
     run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.01), y0, np.zeros(5))
-    first = space.linear_part_spectrum(0.01)
+    first = space._preconditioners[0.01]
     run_trajectory(FemBackend(space, make_sigma("sine", 0.5)), SchemeConfig(k=0.01), y0, inc)
-    assert space.linear_part_spectrum(0.01) is first and not first.flags.writeable
+    assert space._preconditioners[0.01] is first
     run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.02), y0, np.zeros(5))
     assert splu == []
     assert len(cg) >= 15  # at least one Newton iteration in each of the 15 steps
-    assert sorted(space._linear_part_spectra) == [0.01, 0.02]
-    assert {id(s) for s in used} == {id(first), id(space.linear_part_spectrum(0.02))}
+    assert sorted(space._preconditioners) == [0.01, 0.02]
+    # `used` keeps every spectrum alive, so distinct arrays have distinct ids
+    spectra = {id(s): s for s in used}
+    assert len(spectra) == 2
+    expected = [space.mass_spectrum + k * space.stiffness_spectrum for k in (0.01, 0.02)]
+    assert [sum(np.array_equal(s, e) for s in spectra.values()) for e in expected] == [1, 1]
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_a_stepped_space_is_freed_without_a_gc_pass(d, n):
+    """The preconditioner kept on the space does not refer back to it, so a
+    space that no study holds any more is freed at once: a reference cycle
+    would keep its arrays until a GC pass, raising the peak memory of a run
+    that makes a new space per study."""
+    space = _space(n=n, d=d)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    step(space, make_sigma("sine", 0.5), SchemeConfig(k=0.01), y0, 0.05)
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del space
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_two_dimensional_step_agrees_with_the_direct_solve(monkeypatch):
