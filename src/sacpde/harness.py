@@ -782,8 +782,7 @@ def identity_suite(plan):
     )
 
     # projection residual: the L2 projection leaves no component on the basis
-    xq = space.physical_quad_points()
-    b = space.load_vector(np.asarray(plan.x0_callable()(xq), dtype=float))
+    b = space.load_vector(space.quad_values(plan.x0_callable()))
     c = space.solve_mass(b)
     resid = float(np.max(np.abs(space.mass @ c - b)))
     proj_ok = resid <= 1e-10 * (1.0 + float(np.max(np.abs(b))))

@@ -10,6 +10,9 @@ All integrals are evaluated with one fixed simplex quadrature rule, exact to
 degree 4: the cubic nonlinearity times a P1 test function is degree 4, and
 the discrete energy identity holds to rounding only when those integrals are
 exact.  States are plain coefficient arrays: nodal values of the P1 function.
+
+Every cell holds the same d! simplex types, so what is constant within a type
+is kept once per type, and quadrature-point data is evaluated type by type.
 """
 
 import itertools
@@ -30,10 +33,11 @@ class PeriodicMesh:
     ----------
     d, R, n, h : dimension, period, cells per axis, mesh size R/n
     vertices : (n**d, d) dof coordinates
-    elements : (E, d+1) dof index per element corner, E = d! * n**d
-    corners : (E, d+1, d) unwrapped corner coordinates (for quadrature)
+    elements : (E, d+1) dof index per element corner, E = d! * n**d; type t
+        is rows t*n**d to (t+1)*n**d - 1, one per cell in `vertices` order
     volumes : (E,) element measures (all equal to h**d / d!)
-    grads : (E, d+1, d) constant gradients of the P1 basis on each element
+    offsets : (d!, d+1, d) integer corner offsets of each type; see corners(t)
+    grads : (d!, d+1, d) constant gradients of the P1 basis on each type
     """
 
     def __init__(self, d, R, n):
@@ -48,36 +52,38 @@ class PeriodicMesh:
         self.n = int(n)
         self.h = self.R / self.n
 
-        cells = np.indices((self.n,) * d).reshape(d, -1).T  # (n^d, d)
+        cells = self._cells()
         self.vertices = cells * self.h
 
-        elem_blocks, corner_blocks, grad_blocks = [], [], []
-        for perm in itertools.permutations(range(d)):
-            offsets = np.zeros((d + 1, d), dtype=np.int64)
+        types = list(itertools.permutations(range(d)))
+        self.offsets = np.zeros((len(types), d + 1, d), dtype=np.int64)
+        self.grads = np.zeros((len(types), d + 1, d))
+        for t, perm in enumerate(types):
+            offsets, grads = self.offsets[t], self.grads[t]
             for step, axis in enumerate(perm):
                 offsets[step + 1] = offsets[step]
                 offsets[step + 1, axis] += 1
-            g = cells[:, None, :] + offsets[None, :, :]  # (n^d, d+1, d)
-            dofs = np.ravel_multi_index(
-                tuple(np.moveaxis(g % self.n, -1, 0)), (self.n,) * d
-            )
-            elem_blocks.append(dofs)
-            corner_blocks.append(g * self.h)
-            grads = np.zeros((d + 1, d))
             grads[0, perm[0]] = -1.0 / self.h
             for step in range(1, d):
                 grads[step, perm[step - 1]] = 1.0 / self.h
                 grads[step, perm[step]] = -1.0 / self.h
             grads[d, perm[d - 1]] = 1.0 / self.h
-            grad_blocks.append(np.broadcast_to(grads, (self.n**d, d + 1, d)))
-
-        self.elements = np.concatenate(elem_blocks).astype(np.int64)
-        self.corners = np.concatenate(corner_blocks)
-        self.grads = np.ascontiguousarray(np.concatenate(grad_blocks))
+        g = cells[None, :, None, :] + self.offsets[:, None, :, :]  # (d!, n^d, d+1, d)
+        self.elements = np.ravel_multi_index(
+            tuple(np.moveaxis(g % self.n, -1, 0)), (self.n,) * d
+        ).reshape(-1, d + 1)
         vol = self.h**d
         for m in range(2, d + 1):
             vol /= m
         self.volumes = np.full(len(self.elements), vol)
+
+    def _cells(self):
+        """Integer lower corners of the cells, (n**d, d), in dof order."""
+        return np.indices((self.n,) * self.d).reshape(self.d, -1).T
+
+    def corners(self, t):
+        """Unwrapped corner coordinates of the type-t elements, (n**d, d+1, d)."""
+        return (self._cells()[:, None, :] + self.offsets[t]) * self.h
 
     @property
     def dof_count(self):
@@ -104,6 +110,9 @@ class FemSpace:
     real since both are symmetric, and `fft_solve` solves against any such
     spectrum: `solve_mass` with m̂, and the d = 3 Newton preconditioner of
     stepper with m̂ + k·â, made once per k and kept in `_preconditioners`.
+    The element matrices are kept per type too: `_mass_data` and
+    `_stiff_data` are read-only broadcasts, shape (d!, n^d, d+1, d+1), of
+    the one element mass matrix and the d! type stiffness matrices.
 
     ``lumped=True`` switches every integral to the nodal vertex rule,
     which diagonalises the mass matrix but is exact only to degree 1, so
@@ -131,15 +140,14 @@ class FemSpace:
         cols = np.tile(el, (1, nl)).ravel()
         self._shape = (mesh.dof_count, mesh.dof_count)
 
-        vol = mesh.volumes[:, None, None]
-        mass_data = np.broadcast_to(
-            self._wjk.sum(axis=0), (len(el), nl, nl)
-        ) * vol
-        stiff_data = np.einsum("ejd,ekd->ejk", mesh.grads, mesh.grads) * vol
-        self.mass = self._from_data(mass_data, rows, cols)
-        self.stiffness = self._from_data(stiff_data, rows, cols)
-        self._mass_data = mass_data.ravel()
-        self._stiff_data = stiff_data.ravel()
+        # one mass matrix (all volumes are equal), one stiffness per type
+        vol = mesh.volumes[0]
+        shape = (len(mesh.grads), mesh.dof_count, nl, nl)
+        self._mass_data = np.broadcast_to(self._wjk.sum(axis=0) * vol, shape)
+        stiff = np.einsum("tjd,tkd->tjk", mesh.grads, mesh.grads) * vol
+        self._stiff_data = np.broadcast_to(stiff[:, None], shape)
+        self.mass = self._from_data(self._mass_data, rows, cols)
+        self.stiffness = self._from_data(self._stiff_data, rows, cols)
         # CSC pattern of M + A (every element coupling) and the slot in it of
         # each element entry; read-only, since every system matrix shares it
         pattern = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=self._shape)
@@ -182,8 +190,12 @@ class FemSpace:
         """
         wdata = np.tensordot(weight_values, self._wjk, axes=(1, 0))
         wdata *= self.mesh.volumes[:, None, None]
-        data = self._mass_data + k * (self._stiff_data + wdata.ravel())
-        data = np.bincount(self._slot, weights=data, minlength=len(self._indices))
+        # summed in place: each further (E, d+1, d+1) temporary is page-faulted anew
+        wdata = wdata.reshape(self._stiff_data.shape)
+        wdata += self._stiff_data
+        wdata *= k
+        wdata += self._mass_data
+        data = np.bincount(self._slot, weights=wdata.ravel(), minlength=len(self._indices))
         return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
 
     # -- pointwise evaluation and integration ------------------------------
@@ -192,9 +204,15 @@ class FemSpace:
         """Values of the P1 function at all quadrature points, shape (E, Q)."""
         return np.asarray(coeffs)[self.mesh.elements] @ self.quad_points.T
 
-    def physical_quad_points(self):
-        """Positions of all quadrature points, shape (E, Q, d)."""
-        return np.einsum("qj,ejd->eqd", self.quad_points, self.mesh.corners)
+    def quad_values(self, g):
+        """Values of a pointwise callable g of positions (..., d) at all
+        quadrature points, shape (E, Q), evaluated one simplex type at a time."""
+        cells = self.mesh.dof_count
+        out = np.empty((len(self.mesh.elements), len(self.quad_weights)))
+        for t in range(len(self.mesh.offsets)):
+            xq = np.einsum("qj,ejd->eqd", self.quad_points, self.mesh.corners(t))
+            out[t * cells : (t + 1) * cells] = g(xq)
+        return out
 
     def integrate(self, values):
         """Integral over the torus of per-quadrature-point values (..., E, Q)."""
@@ -254,9 +272,7 @@ class FemSpace:
 def l2_project(space, g):
     """L2 projection of a callable of position arrays (..., d) onto the space;
     returns the coefficient vector."""
-    xq = space.physical_quad_points()
-    b = space.load_vector(np.asarray(g(xq), dtype=float))
-    return space.solve_mass(b)
+    return space.solve_mass(space.load_vector(space.quad_values(g)))
 
 
 def _path_dofs(cells, axis_order, n):

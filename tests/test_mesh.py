@@ -114,11 +114,16 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     indptr, indices = _pattern(space.mass, space.stiffness)
     assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
 
-    wdata = np.tensordot(w, space._wjk, axes=(1, 0)) * space.mesh.volumes[:, None, None]
+    # element data expanded from the per-type matrices, one row per element
+    vol = space.mesh.volumes[:, None, None]
+    grads = space.mesh.grads
+    stiff = np.repeat(np.einsum("tjd,tkd->tjk", grads, grads), space.mesh.dof_count, axis=0)
+    mass = np.broadcast_to(space._wjk.sum(axis=0), stiff.shape)
+    wdata = np.tensordot(w, space._wjk, axes=(1, 0)) * vol
     el = space.mesh.elements
     rows = np.repeat(el, d + 1, axis=1).ravel()
     cols = np.tile(el, (1, d + 1)).ravel()
-    data = space._mass_data + k * (space._stiff_data + wdata.ravel())
+    data = (mass * vol + k * (stiff * vol + wdata)).ravel()
     ref = sp.coo_matrix((data, (rows, cols)), shape=J.shape).tocsc()
     assert np.array_equal(ref.indptr, indptr) and np.array_equal(ref.indices, indices)
     if d == 1:
@@ -196,15 +201,70 @@ def test_l2_projection_of_constant_is_exact():
     np.testing.assert_allclose(u, 0.7, atol=1e-12)
 
 
-def test_l2_projection_orthogonality():
+@_LUMPING
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (3, 4)])
+def test_l2_projection_orthogonality(d, n, lumped):
     """The projection residual b - M c vanishes on the whole basis."""
-    space = FemSpace(PeriodicMesh(1, 1.0, 32))
-    g = lambda x: np.exp(np.sin(2.0 * np.pi * x[..., 0]))
-    xq = space.physical_quad_points()
-    b = space.load_vector(np.asarray(g(xq)))
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    g = lambda x: np.exp(np.sin(2.0 * np.pi * x).sum(axis=-1))
+    b = space.load_vector(space.quad_values(g))
     c = l2_project(space, g)
     resid = np.max(np.abs(space.mass @ c - b))
     assert resid <= 1e-10 * (1.0 + np.max(np.abs(b)))
+
+
+def _element_corners(mesh):
+    """Unwrapped corners (E, d+1, d) rebuilt element by element: the cell of
+    corner 0, plus each corner's 0/1 offset from it, mod n."""
+    n, d = mesh.n, mesh.d
+    cells = np.stack(np.unravel_index(mesh.elements, (n,) * d), axis=-1)
+    np.testing.assert_array_equal(cells[:, 0] * mesh.h, mesh.vertices[mesh.elements[:, 0]])
+    offsets = (cells - cells[:, :1]) % n
+    assert set(np.unique(offsets)) <= {0, 1}
+    return (cells[:, :1] + offsets) * mesh.h
+
+
+@_LUMPING
+@pytest.mark.parametrize("preset", ["cos", "tanh-layer"])
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_per_type_evaluation_matches_the_per_element_path(d, n, preset, lumped):
+    """quad_values and l2_project equal the evaluation on all (E, Q, d)
+    quadrature points at once, bit for bit."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    g = initial_datum(preset, 1.0)
+    xq = np.einsum("qj,ejd->eqd", space.quad_points, _element_corners(space.mesh))
+    ref = g(xq)
+    assert np.array_equal(space.quad_values(g), ref)
+    assert np.array_equal(l2_project(space, g), space.solve_mass(space.load_vector(ref)))
+
+
+def _owned_bytes(*objects):
+    """numpy bytes held by the attributes of objects, each base buffer once;
+    a sparse matrix counts its data, indices and indptr."""
+    bases = {}
+
+    def add(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a
+
+    for obj in objects:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                add(value)
+            elif sp.issparse(value):
+                for a in (value.data, value.indices, value.indptr):
+                    add(a)
+    return sum(a.nbytes for a in bases.values())
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+def test_mesh_and_space_memory_per_element(d, n):
+    """Data constant within a simplex type is kept once per type: per-element
+    arrays (corners, gradients, element matrices) would exceed the bound."""
+    mesh = PeriodicMesh(d, 1.0, n)
+    space = FemSpace(mesh)
+    assert _owned_bytes(mesh, space) <= 320 * len(mesh.elements)
 
 
 def test_interpolant_norms_match_analytic():
