@@ -766,9 +766,10 @@ def identity_suite(plan):
     for _ in range(200):
         y1 = rng.uniform(-3.0, 3.0, space.mesh.dof_count)
         y2 = rng.uniform(-3.0, 3.0, space.mesh.dof_count)
-        gap = model.monotonicity_gap(space, y1, y2)
         e = y1 - y2
-        allow = 1e-12 * (1.0 + e @ (space.mass @ e))
+        e_sq = e @ (space.mass @ e)
+        gap = model.monotonicity_gap(space, y1, y2, e_sq)
+        allow = 1e-12 * (1.0 + e_sq)
         worst_margin = max(worst_margin, gap - allow)
         if gap > allow:
             mono_ok = False
@@ -782,7 +783,7 @@ def identity_suite(plan):
     )
 
     # projection residual: the L2 projection leaves no component on the basis
-    b = space.load_vector(space.quad_values(plan.x0_callable()))
+    b = space.load_vector(plan.x0_callable(), space.quad_positions)
     c = space.solve_mass(b)
     resid = float(np.max(np.abs(space.mass @ c - b)))
     proj_ok = resid <= 1e-10 * (1.0 + float(np.max(np.abs(b))))

@@ -12,7 +12,10 @@ the discrete energy identity holds to rounding only when those integrals are
 exact.  States are plain coefficient arrays: nodal values of the P1 function.
 
 Every cell holds the same d! simplex types, so what is constant within a type
-is kept once per type, and quadrature-point data is evaluated type by type.
+is kept once per type.  Quadrature-point work runs one type block at a time
+and reduces into per-element buffers, and the operators are assembled on a
+sparsity pattern read off the types' stencil, by one scatter routine shared
+by M, A and the Newton Jacobian.
 """
 
 import itertools
@@ -114,6 +117,21 @@ class FemSpace:
     `_stiff_data` are read-only broadcasts, shape (d!, n^d, d+1, d+1), of
     the one element mass matrix and the d! type stiffness matrices.
 
+    Quadrature-point work runs one type block at a time: `blocks` holds the
+    d! slices of `mesh.elements`, one per type.  The kernels `integrate`,
+    `load_vector` and `system_matrix` take a pointwise callable and the
+    fields it reads; for each block they evaluate the fields there, apply
+    the callable and reduce into a per-element buffer, so no (E, Q) array
+    is formed at d >= 2.  A field is a coefficient vector, evaluated by
+    `element_values`, or a callable of the block, such as `quad_positions`
+    or a field held by `hold`.
+
+    M, A and every system matrix share one read-only CSC pattern, taken
+    from the stencil of the d! types: column j holds the dofs j + s for
+    each offset s between two corners of one type.  `_slot` gives the place
+    in it of each element entry, and `_assemble` sums element matrices into
+    it by one scatter in element order.
+
     ``lumped=True`` switches every integral to the nodal vertex rule,
     which diagonalises the mass matrix but is exact only to degree 1, so
     the per-step energy identity no longer holds to rounding (the identity
@@ -134,30 +152,23 @@ class FemSpace:
         # w_q * lam_j(q) * lam_k(q), ready for weighted-mass assembly
         self._wjk = np.einsum("q,qj,qk->qjk", wts, pts, pts)
 
-        el = mesh.elements
-        nl = mesh.d + 1
-        rows = np.repeat(el, nl, axis=1).ravel()
-        cols = np.tile(el, (1, nl)).ravel()
-        self._shape = (mesh.dof_count, mesh.dof_count)
+        cells, types, nl = mesh.dof_count, len(mesh.grads), mesh.d + 1
+        self.blocks = tuple(slice(t * cells, (t + 1) * cells) for t in range(types))
+        self._shape = (cells, cells)
 
         # one mass matrix (all volumes are equal), one stiffness per type
         vol = mesh.volumes[0]
-        shape = (len(mesh.grads), mesh.dof_count, nl, nl)
+        shape = (types, cells, nl, nl)
         self._mass_data = np.broadcast_to(self._wjk.sum(axis=0) * vol, shape)
         stiff = np.einsum("tjd,tkd->tjk", mesh.grads, mesh.grads) * vol
         self._stiff_data = np.broadcast_to(stiff[:, None], shape)
-        self.mass = self._from_data(self._mass_data, rows, cols)
-        self.stiffness = self._from_data(self._stiff_data, rows, cols)
-        # CSC pattern of M + A (every element coupling) and the slot in it of
-        # each element entry; read-only, since every system matrix shares it
-        pattern = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=self._shape)
-        self._indices, self._indptr = pattern.indices, pattern.indptr
-        # canonical CSC: the (column, row) keys of the slots are sorted
-        dofs = mesh.dof_count
-        slot_cols = np.repeat(np.arange(dofs), np.diff(self._indptr))
-        self._slot = np.searchsorted(slot_cols * dofs + self._indices, cols * dofs + rows)
+        # read-only, since every assembled matrix shares them
+        self._indptr, self._indices = self._stencil_pattern()
+        self._slot = self._slots()
         for a in (self._slot, self._indices, self._indptr):
             a.flags.writeable = False
+        self.mass = self._assemble(self._mass_data)
+        self.stiffness = self._assemble(self._stiff_data)
         self._grid = (mesh.n,) * mesh.d
         self.mass_spectrum = self._spectrum(self.mass)
         self.stiffness_spectrum = self._spectrum(self.stiffness)
@@ -168,9 +179,52 @@ class FemSpace:
 
     # -- assembly helpers -------------------------------------------------
 
-    def _from_data(self, data, rows, cols):
-        coo = sp.coo_matrix((np.asarray(data).ravel(), (rows, cols)), shape=self._shape)
-        return coo.tocsr()
+    def _stencil_pattern(self):
+        """CSC (indptr, indices), int32, of every element coupling: column j
+        holds the dofs j + s, sorted, for s in the stencil of corner offset
+        differences of the d! types; a wrapped repeat (n = 2) is kept once."""
+        mesh = self.mesh
+        offsets = mesh.offsets
+        stencil = np.unique((offsets[:, :, None] - offsets[:, None]).reshape(-1, mesh.d), axis=0)
+        cells = mesh._cells()
+        table = np.zeros((len(cells), len(stencil)), dtype=np.int64)
+        for axis in range(mesh.d):  # raveled (cell + s) mod n, axis 0 slowest
+            table *= mesh.n
+            table += (cells[:, axis, None] + stencil[:, axis]) % mesh.n
+        table.sort(axis=1)
+        keep = np.ones(table.shape, dtype=bool)
+        keep[:, 1:] = table[:, 1:] != table[:, :-1]
+        indptr = np.zeros(len(table) + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, table[keep].astype(np.int32)
+
+    def _slots(self):
+        """Place in the pattern's data of each element entry (j, k), the
+        coupling of row elements[e, j] with column elements[e, k]; int32,
+        shape (E, d+1, d+1), found one type block at a time."""
+        dofs = self.mesh.dof_count
+        # the (column, row) keys of a canonical CSC pattern are sorted
+        keys = np.repeat(np.arange(dofs) * dofs, np.diff(self._indptr)) + self._indices
+        nl = self.mesh.d + 1
+        slot = np.empty((len(self.mesh.elements), nl, nl), dtype=np.int32)
+        for block in self.blocks:
+            el = self.mesh.elements[block]
+            slot[block] = np.searchsorted(keys, el[:, None, :] * dofs + el[:, :, None])
+        return slot
+
+    def _assemble(self, element_data):
+        """Canonical CSC matrix on the cached pattern from element matrices
+        given block by block, each (n^d, d+1, d+1), summed into their slots
+        in element order: the first block by a bincount, each later one by
+        np.add.at, so each entry gets the bits of one bincount over all."""
+        data = None
+        for block, values in zip(self.blocks, element_data):
+            slots, values = self._slot[block].ravel(), values.ravel()
+            if data is None:  # bincount sums in order too, and is faster
+                data = np.bincount(slots, weights=values, minlength=len(self._indices))
+            else:  # raveled: numpy's fast path of ufunc.at takes one index axis
+                np.add.at(data, slots, values)
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
 
     def _spectrum(self, matrix):
         """Real spectrum of a circulant element matrix, shape (n,)*(d-1) +
@@ -180,49 +234,74 @@ class FemSpace:
         spectrum.flags.writeable = False
         return spectrum
 
-    def system_matrix(self, k, weight_values):
-        """Sparse M + k*(A + W) with W the weighted mass for ``weight_values``.
+    def system_matrix(self, k, f, *fields):
+        """Sparse M + k*(A + W), with W the mass matrix weighted by
+        f(*values), the nonlinearity derivative at the quadrature points.
 
-        weight_values has shape (E, Q): the nonlinearity derivative at the
-        quadrature points.  Returns a canonical CSC matrix on the cached
-        pattern of M + A: one bincount sums the element entries into their
-        slots, and the index arrays are shared, read-only.
+        Returns a canonical CSC matrix on the cached pattern of M + A, built
+        by `_assemble`; the index arrays are shared, read-only.
         """
-        wdata = np.tensordot(weight_values, self._wjk, axes=(1, 0))
-        wdata *= self.mesh.volumes[:, None, None]
-        # summed in place: each further (E, d+1, d+1) temporary is page-faulted anew
-        wdata = wdata.reshape(self._stiff_data.shape)
-        wdata += self._stiff_data
-        wdata *= k
-        wdata += self._mass_data
-        data = np.bincount(self._slot, weights=wdata.ravel(), minlength=len(self._indices))
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
+
+        nl = self.mesh.d + 1
+        wjk = self._wjk.reshape(len(self.quad_weights), nl * nl)
+
+        def element_data():
+            vol = self.mesh.volumes[0]
+            for t, block in enumerate(self.blocks):
+                # the product np.tensordot forms, without its reshaping overhead
+                wdata = (f(*self._values(fields, block)) @ wjk).reshape(-1, nl, nl)
+                # summed in place: each further temporary is page-faulted anew
+                wdata *= vol
+                wdata += self._stiff_data[t]
+                wdata *= k
+                wdata += self._mass_data[t]
+                yield wdata
+
+        return self._assemble(element_data())
 
     # -- pointwise evaluation and integration ------------------------------
 
-    def element_values(self, coeffs):
-        """Values of the P1 function at all quadrature points, shape (E, Q)."""
-        return np.asarray(coeffs)[self.mesh.elements] @ self.quad_points.T
+    def element_values(self, coeffs, block):
+        """Values of the P1 function at the quadrature points of the
+        elements in block, one of `blocks`; shape (n^d, Q)."""
+        return np.asarray(coeffs)[self.mesh.elements[block]] @ self.quad_points.T
 
-    def quad_values(self, g):
-        """Values of a pointwise callable g of positions (..., d) at all
-        quadrature points, shape (E, Q), evaluated one simplex type at a time."""
-        cells = self.mesh.dof_count
-        out = np.empty((len(self.mesh.elements), len(self.quad_weights)))
-        for t in range(len(self.mesh.offsets)):
-            xq = np.einsum("qj,ejd->eqd", self.quad_points, self.mesh.corners(t))
-            out[t * cells : (t + 1) * cells] = g(xq)
-        return out
+    def quad_positions(self, block):
+        """Positions (n^d, Q, d) of the quadrature points of block, one of
+        `blocks`: the field that a callable of position reads."""
+        corners = self.mesh.corners(block.start // self.mesh.dof_count)
+        return np.einsum("qj,ejd->eqd", self.quad_points, corners)
 
-    def integrate(self, values):
-        """Integral over the torus of per-quadrature-point values (..., E, Q)."""
-        v = np.asarray(values)
-        return (v @ self.quad_weights) @ self.mesh.volumes
+    def hold(self, coeffs):
+        """coeffs as a field for kernels that read it repeatedly.  Where one
+        block covers the mesh (d = 1), its element values are formed now
+        and held; otherwise each kernel evaluates coeffs block by block."""
+        if len(self.blocks) > 1:
+            return coeffs
+        values = self.element_values(coeffs, self.blocks[0])
+        return lambda block: values
 
-    def load_vector(self, values):
-        """Assemble b_i = int values * phi_i from point values (E, Q)."""
-        be = (values * self.quad_weights) @ self.quad_points
-        be *= self.mesh.volumes[:, None]
+    def _values(self, fields, block):
+        """The values of each field at the quadrature points of block."""
+        return [f(block) if callable(f) else self.element_values(f, block) for f in fields]
+
+    def integrate(self, f, *fields):
+        """Integral over the torus of f(*values), values those of the fields
+        at the quadrature points."""
+        sums = np.empty(len(self.mesh.elements))
+        for block in self.blocks:
+            sums[block] = f(*self._values(fields, block)) @ self.quad_weights
+        # a numpy sum, not a BLAS dot: the same bits at every thread count
+        return sums.sum() * self.mesh.volumes[0]
+
+    def load_vector(self, f, *fields):
+        """Assemble b_i = int f(*values) * phi_i, values those of the fields
+        at the quadrature points."""
+        be = np.empty((len(self.mesh.elements), self.mesh.d + 1))
+        for block in self.blocks:
+            values = f(*self._values(fields, block)) * self.quad_weights
+            np.matmul(values, self.quad_points, out=be[block])
+        be *= self.mesh.volumes[0]
         return np.bincount(
             self.mesh.elements.ravel(), weights=be.ravel(), minlength=self.mesh.dof_count
         )
@@ -272,7 +351,7 @@ class FemSpace:
 def l2_project(space, g):
     """L2 projection of a callable of position arrays (..., d) onto the space;
     returns the coefficient vector."""
-    return space.solve_mass(space.load_vector(space.quad_values(g)))
+    return space.solve_mass(space.load_vector(g, space.quad_positions))
 
 
 def _path_dofs(cells, axis_order, n):

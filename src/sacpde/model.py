@@ -102,10 +102,9 @@ class EnergyBreakdown:
 
 def psi_value(space, u):
     """int (u^2-1)^2 / 4 over the torus, exact for P1 u unless lumped."""
-    uq = space.element_values(u)
     # an overflowing state is reported by the step's finite guard, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.25 * space.integrate((uq * uq - 1.0) ** 2)
+        return 0.25 * space.integrate(lambda uq: (uq * uq - 1.0) ** 2, u)
 
 
 def energy(space, u):
@@ -116,9 +115,7 @@ def energy(space, u):
 
 def nonlinear_load(space, y, z):
     """Vector of (f_mixed(y, z), phi_i) for P1 y, z."""
-    yq = space.element_values(y)
-    zq = space.element_values(z)
-    return space.load_vector(f_mixed(yq, zq))
+    return space.load_vector(f_mixed, y, z)
 
 
 def sigma_load(space, sigma, u):
@@ -130,13 +127,12 @@ def sigma_load(space, sigma, u):
     """
     if sigma.is_zero:
         return np.zeros(space.mesh.dof_count)
-    uq = space.element_values(u)
-    return space.load_vector(sigma(uq))
+    return space.load_vector(sigma, u)
 
 
 # -- structural checks -------------------------------------------------------
 
-def monotonicity_gap(space, y1, y2):
+def monotonicity_gap(space, y1, y2, e_sq=None):
     """Defect of the one-sided drift estimate; nonpositive up to rounding.
 
     The defect is <drift(y1) - drift(y2), e> + |grad e|^2 - |e|^2 with
@@ -145,12 +141,14 @@ def monotonicity_gap(space, y1, y2):
     it is computed as -(dpsi(y1) - dpsi(y2), e) - |e|^2.  The constant 1 in
     front of |e|^2 is the curvature bound of the double well (psi'' >= -1),
     so the exact value is <= 0; callers compare against a rounding allowance
-    proportional to 1 + |e|^2.
+    proportional to 1 + |e|^2, and may pass the |e|^2 = e @ (M @ e) they
+    formed for it as e_sq.
     """
-    q1 = space.element_values(y1)
-    q2 = space.element_values(y2)
-    e = y1 - y2
-    return -space.integrate((dpsi(q1) - dpsi(q2)) * (q1 - q2)) - e @ (space.mass @ e)
+    well = space.integrate(lambda q1, q2: (dpsi(q1) - dpsi(q2)) * (q1 - q2), y1, y2)
+    if e_sq is None:
+        e = y1 - y2
+        e_sq = e @ (space.mass @ e)
+    return -well - e_sq
 
 
 # -- initial-datum presets ----------------------------------------------------

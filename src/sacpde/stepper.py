@@ -154,19 +154,21 @@ def step(space, sigma, cfg, yp, dw):
     M, A = space.mass, space.stiffness
     m_yp = M @ yp
     rhs0 = m_yp + dw * sigma_load(space, sigma, yp)
-    zq = space.element_values(yp)
+    # fields of the kernels: at d = 1 the element values of y_prev are formed
+    # once per step, and those of each iterate once, at its residual
+    zh = space.hold(yp)
 
     def residual(y):
-        yq = space.element_values(y)
-        b = space.load_vector(f_mixed(yq, zq))
-        return M @ y + k * (A @ y + b) - rhs0, yq
+        yh = space.hold(y)
+        b = space.load_vector(f_mixed, yh, zh)
+        return M @ y + k * (A @ y + b) - rhs0, yh
 
     def trial(y_trial):
-        F_trial, yq_trial = residual(y_trial)
-        return y_trial, F_trial, yq_trial, np.linalg.norm(F_trial)
+        F_trial, yh_trial = residual(y_trial)
+        return y_trial, F_trial, yh_trial, np.linalg.norm(F_trial)
 
-    def form_jacobian(Fv, yq):
-        J = space.system_matrix(k, f_mixed_dy(yq, zq))
+    def form_jacobian(Fv, yh):
+        J = space.system_matrix(k, f_mixed_dy, yh, zh)
         try:
             return J, _preconditioner(space, k, J)
         except RuntimeError as exc:
@@ -176,7 +178,7 @@ def step(space, sigma, cfg, yp, dw):
     # an overflowing state is reported by the finite guard below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         scale = cfg.newton_tol * (1.0 + np.linalg.norm(m_yp))
-        Fv, yq = residual(y)
+        Fv, yh = residual(y)
         rnorm = np.linalg.norm(Fv)
     if not (np.isfinite(rnorm) and np.isfinite(scale)):
         raise StepFailure("Newton residual or its tolerance is not finite", residual=rnorm)
@@ -193,16 +195,16 @@ def step(space, sigma, cfg, yp, dw):
             )
         if J is not None:
             delta, precond = _solve_linear(precond, J, -Fv)
-            y_trial, F_trial, yq_trial, r_trial = trial(y + delta)
+            y_trial, F_trial, yh_trial, r_trial = trial(y + delta)
             if r_trial <= 0.1 * rnorm or r_trial <= scale:
-                y, Fv, yq, rnorm = y_trial, F_trial, yq_trial, r_trial
+                y, Fv, yh, rnorm = y_trial, F_trial, yh_trial, r_trial
                 iters += 1
                 continue
-        J, precond = form_jacobian(Fv, yq)
+        J, precond = form_jacobian(Fv, yh)
         jacobians += 1
         delta, precond = _solve_linear(precond, J, -Fv)
         for halvings in range(DAMPING + 1):
-            y_trial, F_trial, yq_trial, r_trial = trial(y + 0.5**halvings * delta)
+            y_trial, F_trial, yh_trial, r_trial = trial(y + 0.5**halvings * delta)
             if r_trial < rnorm or r_trial <= scale:
                 break
         else:
@@ -211,7 +213,7 @@ def step(space, sigma, cfg, yp, dw):
                 f"(residual {rnorm:.3e}, target {scale:.3e})",
                 residual=rnorm,
             )
-        y, Fv, yq, rnorm = y_trial, F_trial, yq_trial, r_trial
+        y, Fv, yh, rnorm = y_trial, F_trial, yh_trial, r_trial
         iters += 1
         halvings_total += halvings
     # One polishing iteration after the tolerance is met: the energy-identity
@@ -223,7 +225,7 @@ def step(space, sigma, cfg, yp, dw):
     # met the tolerance.
     if rnorm > 0.0:
         if J is None:
-            J, precond = form_jacobian(Fv, yq)
+            J, precond = form_jacobian(Fv, yh)
             jacobians += 1
         y_trial = y + _solve_linear(precond, J, -Fv)[0]
         r_trial = np.linalg.norm(residual(y_trial)[0])
@@ -271,7 +273,7 @@ class FemBackend:
         return out, counters
 
     def _quadratic_form(self, matrix, D):
-        # csr @ dense gives each column the bits of a single matvec
+        # a sparse @ dense product gives each column the bits of a single matvec
         return (D * (matrix @ D.T).T).sum(axis=-1)
 
     def l2_sq(self, D):
@@ -403,13 +405,11 @@ def energy_identity_residual(space, sigma, yp, yn, k, dw):
     # an inexact rule (mass lumping) telescopes only its own quadrature's
     # energy, so this defect exposes it
     ev = space.exact_twin()
-    qp = ev.element_values(yp)
-    qn = ev.element_values(yn)
     lhs = (
         energy(ev, yn).total
         - energy(ev, yp).total
         + 0.5 * (d @ (A @ d))
-        + 0.25 * ev.integrate((qn * qn - qp * qp) ** 2)
+        + 0.25 * ev.integrate(lambda qn, qp: (qn * qn - qp * qp) ** 2, yn, yp)
         + k * (w @ (M @ w))
     )
     rhs = dw * (sigma_load(space, sigma, yp) @ w)

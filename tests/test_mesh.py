@@ -1,5 +1,7 @@
 """Mesh geometry, assembled operators, projections, and mesh nesting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,8 @@ import scipy.sparse.linalg as spla
 
 from sacpde.errors import ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
-from sacpde.model import f_mixed_dy, initial_datum
+from sacpde.model import f_mixed, f_mixed_dy, initial_datum, make_sigma
+from sacpde.stepper import SchemeConfig, step
 
 
 def _cos_interpolant(space):
@@ -96,6 +99,44 @@ def _pattern(*matrices):
     return union.indptr, union.indices
 
 
+# -- all-elements references: the kernels as one pass over every element ----
+
+
+def _all_values(space, coeffs):
+    """Values at every quadrature point, (E, Q)."""
+    return coeffs[space.mesh.elements] @ space.quad_points.T
+
+
+def _reference_load(space, values):
+    """b_i = int values * phi_i from values (E, Q), by one bincount."""
+    be = (values * space.quad_weights) @ space.quad_points
+    be *= space.mesh.volumes[:, None]
+    return np.bincount(
+        space.mesh.elements.ravel(), weights=be.ravel(), minlength=space.mesh.dof_count
+    )
+
+
+def _element_data(space, k, weights):
+    """Element matrices of M + k(A + W) for weights (E, Q), (E, d+1, d+1),
+    expanded from the per-type matrices."""
+    vol = space.mesh.volumes[:, None, None]
+    grads = space.mesh.grads
+    stiff = np.repeat(np.einsum("tjd,tkd->tjk", grads, grads), space.mesh.dof_count, axis=0)
+    mass = np.broadcast_to(space._wjk.sum(axis=0), stiff.shape)
+    wdata = np.tensordot(weights, space._wjk, axes=(1, 0)) * vol
+    return mass * vol + k * (stiff * vol + wdata)
+
+
+def _coo_reference(space, data):
+    """The COO assembly of element matrices data (E, d+1, d+1), as CSC."""
+    el = space.mesh.elements
+    nl = space.mesh.d + 1
+    rows = np.repeat(el, nl, axis=1).ravel()
+    cols = np.tile(el, (1, nl)).ravel()
+    shape = (space.mesh.dof_count,) * 2
+    return sp.coo_matrix((np.ravel(data), (rows, cols)), shape=shape).tocsc()
+
+
 @pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
 def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
@@ -106,25 +147,17 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     scatter bit for bit."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     y = l2_project(space, initial_datum("cos", 1.0))
-    w = f_mixed_dy(space.element_values(y), space.element_values(0.9 * y))
+    z = 0.9 * y
+    yq, zq = _all_values(space, y), _all_values(space, z)
+    w = f_mixed_dy(yq, zq)
     k = 0.01
-    J = space.system_matrix(k, w)
+    J = space.system_matrix(k, f_mixed_dy, y, z)
     assert J.format == "csc"
     assert J.has_canonical_format
     indptr, indices = _pattern(space.mass, space.stiffness)
     assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
 
-    # element data expanded from the per-type matrices, one row per element
-    vol = space.mesh.volumes[:, None, None]
-    grads = space.mesh.grads
-    stiff = np.repeat(np.einsum("tjd,tkd->tjk", grads, grads), space.mesh.dof_count, axis=0)
-    mass = np.broadcast_to(space._wjk.sum(axis=0), stiff.shape)
-    wdata = np.tensordot(w, space._wjk, axes=(1, 0)) * vol
-    el = space.mesh.elements
-    rows = np.repeat(el, d + 1, axis=1).ravel()
-    cols = np.tile(el, (1, d + 1)).ravel()
-    data = (mass * vol + k * (stiff * vol + wdata)).ravel()
-    ref = sp.coo_matrix((data, (rows, cols)), shape=J.shape).tocsc()
+    ref = _coo_reference(space, _element_data(space, k, w))
     assert np.array_equal(ref.indptr, indptr) and np.array_equal(ref.indices, indices)
     if d == 1:
         assert np.array_equal(J.data, ref.data)
@@ -132,7 +165,7 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
         np.testing.assert_allclose(J.data, ref.data, rtol=1e-15, atol=0.0)
 
     # the pattern is shared by every system matrix and cannot be changed
-    other = space.system_matrix(0.5, w)
+    other = space.system_matrix(0.5, f_mixed_dy, y, z)
     assert np.shares_memory(other.indices, J.indices)
     with pytest.raises(ValueError):
         other.indices[0] = 0
@@ -140,11 +173,72 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
         other.indptr[-1] = 0
 
     # load_vector sums in the same element order as an np.add.at scatter
-    values = space.element_values(y) * w
+    values = yq * w
     be = (values * space.quad_weights) @ space.quad_points * space.mesh.volumes[:, None]
     scattered = np.zeros(space.mesh.dof_count)
     np.add.at(scattered, space.mesh.elements, be)
-    assert np.array_equal(space.load_vector(values), scattered)
+    load = space.load_vector(lambda a, b: a * f_mixed_dy(a, b), y, z)
+    assert np.array_equal(load, scattered)
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
+@pytest.mark.parametrize("d,n", [(1, 16), (1, 2), (2, 8), (2, 2), (3, 4), (3, 2)])
+def test_operators_match_the_coo_assembly(d, n, lumped):
+    """M and A, summed by the slot scatter on the stencil pattern, equal the
+    COO assembly of the same element matrices: the same pattern, wrapped
+    repeats at n = 2 included, and the same entries, bit for bit at d = 1
+    and to 1e-15 relative at d >= 2, where duplicates sum in another order.
+    Both share the pattern's index arrays with every system matrix."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    for matrix, data in ((space.mass, space._mass_data), (space.stiffness, space._stiff_data)):
+        ref = _coo_reference(space, data)
+        assert matrix.format == "csc" and matrix.has_canonical_format
+        assert np.array_equal(matrix.indptr, ref.indptr)
+        assert np.array_equal(matrix.indices, ref.indices)
+        assert np.shares_memory(matrix.indices, space._indices)
+        if d == 1:
+            assert np.array_equal(matrix.data, ref.data)
+        else:
+            scale = np.abs(ref.data).max()
+            np.testing.assert_allclose(matrix.data, ref.data, rtol=1e-15, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_blocked_kernels_match_the_all_elements_path(d, n, lumped):
+    """Each kernel, run one type block at a time, equals the same kernel as
+    one pass over all elements, bit for bit: element values, integrate,
+    load_vector and system_matrix, on coefficient fields and on held ones."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
+    rng = np.random.default_rng(d)
+    y, z = rng.uniform(-2.0, 2.0, (2, space.mesh.dof_count))
+    yq, zq = _all_values(space, y), _all_values(space, z)
+    blocked = np.concatenate([space.element_values(y, block) for block in space.blocks])
+    assert np.array_equal(blocked, yq)
+    assert len(space.blocks) == {1: 1, 2: 2, 3: 6}[d]
+    held = space.hold(y)
+    assert callable(held) == (d == 1)
+
+    quartic = lambda a, b: (a * a - b * b) ** 2
+    ref = (quartic(yq, zq) @ space.quad_weights).sum() * space.mesh.volumes[0]
+    assert space.integrate(quartic, y, z) == ref
+    assert space.integrate(quartic, held, space.hold(z)) == ref
+
+    sigma = make_sigma("sine", 0.5)
+    for f, fields, values in ((f_mixed, (y, z), (yq, zq)), (sigma, (y,), (yq,))):
+        ref = _reference_load(space, f(*values))
+        assert np.array_equal(space.load_vector(f, *fields), ref)
+    ref = _reference_load(space, f_mixed(yq, zq))
+    assert np.array_equal(space.load_vector(f_mixed, held, z), ref)
+
+    k = 0.03
+    data = np.bincount(
+        space._slot.ravel(),
+        weights=_element_data(space, k, f_mixed_dy(yq, zq)).ravel(),
+        minlength=len(space._indices),
+    )
+    for fields in ((y, z), (held, space.hold(z))):
+        assert np.array_equal(space.system_matrix(k, f_mixed_dy, *fields).data, data)
 
 
 _SPECTRUM_CASES = pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
@@ -207,7 +301,7 @@ def test_l2_projection_orthogonality(d, n, lumped):
     """The projection residual b - M c vanishes on the whole basis."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     g = lambda x: np.exp(np.sin(2.0 * np.pi * x).sum(axis=-1))
-    b = space.load_vector(space.quad_values(g))
+    b = space.load_vector(g, space.quad_positions)
     c = l2_project(space, g)
     resid = np.max(np.abs(space.mass @ c - b))
     assert resid <= 1e-10 * (1.0 + np.max(np.abs(b)))
@@ -228,14 +322,17 @@ def _element_corners(mesh):
 @pytest.mark.parametrize("preset", ["cos", "tanh-layer"])
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
 def test_per_type_evaluation_matches_the_per_element_path(d, n, preset, lumped):
-    """quad_values and l2_project equal the evaluation on all (E, Q, d)
-    quadrature points at once, bit for bit."""
+    """quad_positions, the load vector of a callable of position and
+    l2_project equal the evaluation on all (E, Q, d) quadrature points at
+    once, bit for bit."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     g = initial_datum(preset, 1.0)
     xq = np.einsum("qj,ejd->eqd", space.quad_points, _element_corners(space.mesh))
-    ref = g(xq)
-    assert np.array_equal(space.quad_values(g), ref)
-    assert np.array_equal(l2_project(space, g), space.solve_mass(space.load_vector(ref)))
+    blocked = np.concatenate([space.quad_positions(block) for block in space.blocks])
+    assert np.array_equal(blocked, xq)
+    ref = _reference_load(space, g(xq))
+    assert np.array_equal(space.load_vector(g, space.quad_positions), ref)
+    assert np.array_equal(l2_project(space, g), space.solve_mass(ref))
 
 
 def _owned_bytes(*objects):
@@ -264,7 +361,34 @@ def test_mesh_and_space_memory_per_element(d, n):
     arrays (corners, gradients, element matrices) would exceed the bound."""
     mesh = PeriodicMesh(d, 1.0, n)
     space = FemSpace(mesh)
-    assert _owned_bytes(mesh, space) <= 320 * len(mesh.elements)
+    assert _owned_bytes(mesh, space) <= 200 * len(mesh.elements)
+
+
+def test_construction_and_step_peak_memory_per_element():
+    """At (d, n) = (3, 8), building the space and taking one Newton step each
+    allocate at most a few hundred bytes per element at their peak: the
+    operators are built without whole-mesh COO arrays, and quadrature-point
+    work runs one type block at a time, with no (E, Q) array."""
+    mesh = PeriodicMesh(3, 1.0, 8)
+    elements = len(mesh.elements)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        space = FemSpace(mesh)
+        construction = tracemalloc.get_traced_memory()[1] - start
+
+        sigma, cfg = make_sigma("sine", 0.5), SchemeConfig(k=1.0 / 16)
+        y = l2_project(space, initial_datum("cos", 1.0))
+        y, _ = step(space, sigma, cfg, y, 0.01)  # makes the preconditioner
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        step(space, sigma, cfg, y, 0.01)
+        one_step = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert construction <= 400 * elements
+    assert one_step <= 300 * elements
 
 
 def test_interpolant_norms_match_analytic():

@@ -73,9 +73,7 @@ def test_energy_gateaux_derivative():
     v = rng.uniform(-1.0, 1.0, 64)
     eps = 1e-6
     fd = (psi_value(space, u + eps * v) - psi_value(space, u - eps * v)) / (2 * eps)
-    uq = space.element_values(u)
-    vq = space.element_values(v)
-    pairing = space.integrate(dpsi(uq) * vq)
+    pairing = space.integrate(lambda uq, vq: dpsi(uq) * vq, u, v)
     assert fd == pytest.approx(pairing, rel=1e-8, abs=1e-9)
 
 
@@ -139,11 +137,12 @@ def test_monotonicity_gap_matches_the_literal_formula(d, n):
         e = y1 - y2
         grad_sq = e @ (space.stiffness @ e)
         l2_sq = e @ (space.mass @ e)
-        q1, q2, eq = (space.element_values(v) for v in (y1, y2, e))
-        well_pair = space.integrate((dpsi(q1) - dpsi(q2)) * eq)
+        well_pair = space.integrate(lambda q1, q2, eq: (dpsi(q1) - dpsi(q2)) * eq, y1, y2, e)
         literal = (-grad_sq - well_pair) + grad_sq - l2_sq
         gap = monotonicity_gap(space, y1, y2)
         assert abs(gap - literal) <= 1e-12 * (1.0 + grad_sq + l2_sq)
+        # a caller's |e|^2 gives the same bits
+        assert monotonicity_gap(space, y1, y2, l2_sq) == gap
 
 
 def test_monotonicity_gap_scales_quadratically():

@@ -254,7 +254,7 @@ def test_converged_polish_takes_only_the_full_step(monkeypatch):
     calls = []
     load_vector = FemSpace.load_vector
     monkeypatch.setattr(
-        FemSpace, "load_vector", lambda self, v: calls.append(1) or load_vector(self, v)
+        FemSpace, "load_vector", lambda self, *args: calls.append(1) or load_vector(self, *args)
     )
     held_rejected = polish_rejected = 0
     # a large step, where the held Jacobian contracts weakly at first, then
@@ -395,6 +395,32 @@ def test_one_dimensional_step_forms_one_jacobian_per_step(monkeypatch):
     jacobians = sum(row["jacobians"] for row in traj.diagnostics)
     assert len(splu) == len(assembled) == len(inc) == jacobians
     assert all(row["newton_iters"] > 1 for row in traj.diagnostics)
+
+
+def test_one_dimensional_step_evaluates_each_state_once(monkeypatch):
+    """At d = 1, where one block covers the mesh, the step forms the element
+    values of y_prev once for the noise load and once held for the whole
+    step, and those of each iterate once, at its residual; the Jacobian
+    reads the held values."""
+    space = _space(n=32)
+    counts = dict.fromkeys(("element_values", "load_vector", "system_matrix"), 0)
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(FemSpace, name, counting(name, getattr(FemSpace, name)))
+    y = l2_project(space, initial_datum("cos", 1.0))
+    for dw in (0.05, -0.02, 0.0):
+        counts.update(dict.fromkeys(counts, 0))
+        y, diag = step(space, make_sigma("sine", 0.5), SchemeConfig(k=0.25 / 64), y, dw)
+        # one load vector for the noise, one per residual
+        assert counts["element_values"] == counts["load_vector"] + 1
+        assert counts["system_matrix"] == diag.jacobians >= 1
 
 
 def test_large_steps_form_the_jacobian_again(monkeypatch):
