@@ -12,10 +12,12 @@ the discrete energy identity holds to rounding only when those integrals are
 exact.  States are plain coefficient arrays: nodal values of the P1 function.
 
 Every cell holds the same d! simplex types, so what is constant within a type
-is kept once per type.  Quadrature-point work runs one type block at a time
-and reduces into per-element buffers, and the operators are assembled on a
-sparsity pattern read off the types' stencil, by one scatter routine shared
-by M, A and the Newton Jacobian.
+is kept once per type.  The corners of all elements of one type are shifted
+copies of the dof grid, so a field is read through its corner grid, its
+values at cell + o for each cube corner o, and quadrature-point work runs one
+type at a time as small BLAS products on quadrature-major (Q, n^d) arrays.
+The operators are assembled on a sparsity pattern read off the types'
+stencil, by one scatter routine shared by M, A and the Newton Jacobian.
 """
 
 import itertools
@@ -109,28 +111,40 @@ class FemSpace:
     Every cell of the periodic grid holds the same simplices, so M, A and
     M + kA are multilevel circulant: the n^d-point real FFT of a first
     column, reshaped to (n,)*d, is the operator's spectrum (Strang 1986;
-    Chan & Ng 1996).  The space keeps the spectra m̂ and â of M and A,
+    Chan & Ng 1996).  The space keeps the spectra m̂ and â of M and A,
     real since both are symmetric, and `fft_solve` solves against any such
     spectrum: `solve_mass` with m̂, and the d = 3 Newton preconditioner of
-    stepper with m̂ + k·â, made once per k and kept in `_preconditioners`.
-    The element matrices are kept per type too: `_mass_data` and
-    `_stiff_data` are read-only broadcasts, shape (d!, n^d, d+1, d+1), of
-    the one element mass matrix and the d! type stiffness matrices.
+    stepper with m̂ + k·â, made once per k and kept in `_preconditioners`.
 
-    Quadrature-point work runs one type block at a time: `blocks` holds the
-    d! slices of `mesh.elements`, one per type.  The kernels `integrate`,
-    `load_vector` and `system_matrix` take a pointwise callable and the
-    fields it reads; for each block they evaluate the fields there, apply
-    the callable and reduce into a per-element buffer, so no (E, Q) array
-    is formed at d >= 2.  A field is a coefficient vector, evaluated by
-    `element_values`, or a callable of the block, such as `quad_positions`
-    or a field held by `hold`.
+    A field is read at the quadrature points through its corner grid:
+    `hold(c)`, shape (2^d, n^d), whose row for the cube corner o in {0,1}^d
+    holds c at cell + o for every cell (`_corner_dofs` is the gather
+    table).  The corners of the type-t elements are d + 1 of those rows, so
+    `element_values(c, t)` is one BLAS product `_corner_matrices[t] @ grid`
+    of shape (Q, n^d), with the barycentric values of the quadrature points
+    in the type's corner columns.  The kernels `integrate`, `load_vector`
+    and `system_matrix` take a pointwise callable and the fields it reads;
+    for each type in `types` they evaluate the fields, apply the callable
+    and reduce over the quadrature points by one BLAS product whose small
+    matrix holds the weights: `integrate` by `quad_weights @ values`,
+    `load_vector` by `_load_matrices[t] @ values` into one (2^d, n^d)
+    corner load, scattered to the dofs by one bincount, and `system_matrix`
+    by (k vol w_q lam_j lam_k)^T @ values into the rows of the type's
+    couplings (below).  A field is a coefficient vector, whose corner grid
+    the kernel gathers once per call, a corner grid from `hold`, for a
+    field that several calls read, or a callable of the type index, such as
+    `quad_positions`.
 
     M, A and every system matrix share one read-only CSC pattern, taken
     from the stencil of the d! types: column j holds the dofs j + s for
-    each offset s between two corners of one type.  `_slot` gives the place
-    in it of each element entry, and `_assemble` sums element matrices into
-    it by one scatter in element order.
+    each offset s between two corners of one type.  Element matrices are
+    summed per coupling, a pair (o, o') of corners of one type, which
+    couples cell + o with cell + o' in every cell: entry (j, k) of type t
+    goes to coupling `_couplings[t, j*(d+1) + k]`.  `_slot`, shape
+    (couplings, n^d), gives the place in the pattern of each coupling in
+    each cell, and `_assemble` scatters the coupling data: by one bincount
+    for a system matrix, and one coupling at a time for M and A, whose
+    coupling data are the same in every cell.
 
     ``lumped=True`` switches every integral to the nodal vertex rule,
     which diagonalises the mass matrix but is exact only to degree 1, so
@@ -152,24 +166,42 @@ class FemSpace:
         # w_q * lam_j(q) * lam_k(q), ready for weighted-mass assembly
         self._wjk = np.einsum("q,qj,qk->qjk", wts, pts, pts)
 
-        cells, types, nl = mesh.dof_count, len(mesh.grads), mesh.d + 1
-        self.blocks = tuple(slice(t * cells, (t + 1) * cells) for t in range(types))
-        self._shape = (cells, cells)
-
-        # one mass matrix (all volumes are equal), one stiffness per type
+        d, dofs, nl = mesh.d, mesh.dof_count, mesh.d + 1
+        self.types = range(len(mesh.grads))
+        self._shape = (dofs, dofs)
         vol = mesh.volumes[0]
-        shape = (types, cells, nl, nl)
-        self._mass_data = np.broadcast_to(self._wjk.sum(axis=0) * vol, shape)
+
+        # cube corners o in {0,1}^d, numbered as the dofs are (axis 0 slowest)
+        self._corner_dofs = self._shifted_dofs(np.indices((2,) * d).reshape(d, -1).T)
+        corner = mesh.offsets @ (1 << np.arange(d)[::-1])  # (d!, d+1) corner numbers
+        self._corner_matrices = np.zeros((len(self.types), len(wts), 2**d))
+        for t in self.types:
+            self._corner_matrices[t][:, corner[t]] = pts
+        # b_o = vol * sum_q w_q P[q, o] * values_q, one (2^d, Q) matrix per type
+        self._load_matrices = np.ascontiguousarray(
+            (vol * wts[:, None] * self._corner_matrices).transpose(0, 2, 1)
+        )
+
+        # the couplings (o, o') of two corners of one type, numbered in the
+        # order of o * 2^d + o'; entry j*(d+1) + k of type t couples its
+        # corners j and k, coupling number _couplings[t, j*(d+1) + k]
+        codes = (corner[:, :, None] << d) + corner[:, None, :]
+        pairs, couplings = np.unique(codes, return_inverse=True)
+        self._couplings = couplings.reshape(len(self.types), nl * nl)
+        # one mass matrix (all volumes are equal), one stiffness per type,
+        # each summed per coupling in type order
+        mass = np.tile(self._wjk.sum(axis=0).ravel() * vol, len(self.types))
+        self._mass_coupling = np.bincount(self._couplings.ravel(), weights=mass)
         stiff = np.einsum("tjd,tkd->tjk", mesh.grads, mesh.grads) * vol
-        self._stiff_data = np.broadcast_to(stiff[:, None], shape)
+        self._stiff_coupling = np.bincount(self._couplings.ravel(), weights=stiff.ravel())
         # read-only, since every assembled matrix shares them
         self._indptr, self._indices = self._stencil_pattern()
-        self._slot = self._slots()
-        for a in (self._slot, self._indices, self._indptr):
+        self._slot = self._slots(pairs >> d, pairs & (2**d - 1))
+        for a in (self._slot, self._indices, self._indptr, self._corner_dofs):
             a.flags.writeable = False
-        self.mass = self._assemble(self._mass_data)
-        self.stiffness = self._assemble(self._stiff_data)
-        self._grid = (mesh.n,) * mesh.d
+        self.mass = self._assemble(self._mass_coupling)
+        self.stiffness = self._assemble(self._stiff_coupling)
+        self._grid = (mesh.n,) * d
         self.mass_spectrum = self._spectrum(self.mass)
         self.stiffness_spectrum = self._spectrum(self.stiffness)
         # k -> the Newton preconditioner of stepper at d >= 2, a
@@ -179,18 +211,25 @@ class FemSpace:
 
     # -- assembly helpers -------------------------------------------------
 
+    def _shifted_dofs(self, shifts):
+        """The dofs (cell + s) mod n, raveled, for each shift s (S, d) and
+        each cell in dof order: shape (S, n^d)."""
+        mesh = self.mesh
+        cells = mesh._cells()
+        table = np.zeros((len(shifts), len(cells)), dtype=np.intp)
+        for axis in range(mesh.d):  # axis 0 slowest
+            table *= mesh.n
+            table += (cells[:, axis] + shifts[:, axis, None]) % mesh.n
+        return table
+
     def _stencil_pattern(self):
         """CSC (indptr, indices), int32, of every element coupling: column j
         holds the dofs j + s, sorted, for s in the stencil of corner offset
         differences of the d! types; a wrapped repeat (n = 2) is kept once."""
-        mesh = self.mesh
-        offsets = mesh.offsets
-        stencil = np.unique((offsets[:, :, None] - offsets[:, None]).reshape(-1, mesh.d), axis=0)
-        cells = mesh._cells()
-        table = np.zeros((len(cells), len(stencil)), dtype=np.int64)
-        for axis in range(mesh.d):  # raveled (cell + s) mod n, axis 0 slowest
-            table *= mesh.n
-            table += (cells[:, axis, None] + stencil[:, axis]) % mesh.n
+        offsets = self.mesh.offsets
+        differences = (offsets[:, :, None] - offsets[:, None]).reshape(-1, self.mesh.d)
+        stencil = np.unique(differences, axis=0)
+        table = self._shifted_dofs(stencil).T
         table.sort(axis=1)
         keep = np.ones(table.shape, dtype=bool)
         keep[:, 1:] = table[:, 1:] != table[:, :-1]
@@ -198,32 +237,32 @@ class FemSpace:
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         return indptr, table[keep].astype(np.int32)
 
-    def _slots(self):
-        """Place in the pattern's data of each element entry (j, k), the
-        coupling of row elements[e, j] with column elements[e, k]; int32,
-        shape (E, d+1, d+1), found one type block at a time."""
+    def _slots(self, rows, cols):
+        """Place in the pattern's data of the coupling of cell + o with
+        cell + o', for the corners o = rows[c], o' = cols[c] of each coupling
+        c and each cell; int32, shape (couplings, n^d)."""
         dofs = self.mesh.dof_count
         # the (column, row) keys of a canonical CSC pattern are sorted
         keys = np.repeat(np.arange(dofs) * dofs, np.diff(self._indptr)) + self._indices
-        nl = self.mesh.d + 1
-        slot = np.empty((len(self.mesh.elements), nl, nl), dtype=np.int32)
-        for block in self.blocks:
-            el = self.mesh.elements[block]
-            slot[block] = np.searchsorted(keys, el[:, None, :] * dofs + el[:, :, None])
+        corners = self._corner_dofs
+        slot = np.empty((len(rows), dofs), dtype=np.int32)
+        for c, (o, o2) in enumerate(zip(rows, cols)):  # one row at a time: small temporaries
+            slot[c] = np.searchsorted(keys, corners[o2] * dofs + corners[o])
         return slot
 
-    def _assemble(self, element_data):
-        """Canonical CSC matrix on the cached pattern from element matrices
-        given block by block, each (n^d, d+1, d+1), summed into their slots
-        in element order: the first block by a bincount, each later one by
-        np.add.at, so each entry gets the bits of one bincount over all."""
-        data = None
-        for block, values in zip(self.blocks, element_data):
-            slots, values = self._slot[block].ravel(), values.ravel()
-            if data is None:  # bincount sums in order too, and is faster
-                data = np.bincount(slots, weights=values, minlength=len(self._indices))
-            else:  # raveled: numpy's fast path of ufunc.at takes one index axis
-                np.add.at(data, slots, values)
+    def _assemble(self, coupling_data):
+        """Canonical CSC matrix on the cached pattern from the element data
+        summed per coupling: (couplings, n^d) by one bincount, or (couplings,)
+        values, the same in every cell, one coupling at a time.  Each entry
+        gets the same bits either way: its terms summed in coupling order."""
+        if coupling_data.ndim == 1:  # no (couplings, n^d) temporaries
+            data = np.zeros(len(self._indices))
+            for slot, value in zip(self._slot, coupling_data):
+                data[slot] += value  # the slots of one coupling are distinct
+        else:
+            data = np.bincount(
+                self._slot.ravel(), weights=coupling_data.ravel(), minlength=len(self._indices)
+            )
         return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
 
     def _spectrum(self, matrix):
@@ -241,69 +280,63 @@ class FemSpace:
         Returns a canonical CSC matrix on the cached pattern of M + A, built
         by `_assemble`; the index arrays are shared, read-only.
         """
-
-        nl = self.mesh.d + 1
-        wjk = self._wjk.reshape(len(self.quad_weights), nl * nl)
-
-        def element_data():
-            vol = self.mesh.volumes[0]
-            for t, block in enumerate(self.blocks):
-                # the product np.tensordot forms, without its reshaping overhead
-                wdata = (f(*self._values(fields, block)) @ wjk).reshape(-1, nl, nl)
-                # summed in place: each further temporary is page-faulted anew
-                wdata *= vol
-                wdata += self._stiff_data[t]
-                wdata *= k
-                wdata += self._mass_data[t]
-                yield wdata
-
-        return self._assemble(element_data())
+        # k * vol * w_q * lam_j(q) * lam_k(q), ((d+1)^2, Q)
+        weights = (k * self.mesh.volumes[0]) * self._wjk.reshape(len(self.quad_weights), -1).T
+        fields = self._held(fields)
+        # per coupling: the sum of M_t + k*A_t, then of each type's weighted mass
+        data = np.empty(self._slot.shape)
+        data[:] = (self._mass_coupling + k * self._stiff_coupling)[:, None]
+        for t, couplings in zip(self.types, self._couplings):
+            # the type's data first: `data[couplings] +=` would gather before it
+            data[couplings] = weights @ f(*self._values(fields, t)) + data[couplings]
+        return self._assemble(data)
 
     # -- pointwise evaluation and integration ------------------------------
 
-    def element_values(self, coeffs, block):
-        """Values of the P1 function at the quadrature points of the
-        elements in block, one of `blocks`; shape (n^d, Q)."""
-        return np.asarray(coeffs)[self.mesh.elements[block]] @ self.quad_points.T
-
-    def quad_positions(self, block):
-        """Positions (n^d, Q, d) of the quadrature points of block, one of
-        `blocks`: the field that a callable of position reads."""
-        corners = self.mesh.corners(block.start // self.mesh.dof_count)
-        return np.einsum("qj,ejd->eqd", self.quad_points, corners)
-
     def hold(self, coeffs):
-        """coeffs as a field for kernels that read it repeatedly.  Where one
-        block covers the mesh (d = 1), its element values are formed now
-        and held; otherwise each kernel evaluates coeffs block by block."""
-        if len(self.blocks) > 1:
-            return coeffs
-        values = self.element_values(coeffs, self.blocks[0])
-        return lambda block: values
+        """The corner grid of coeffs, (2^d, n^d): the field that kernels read
+        without gathering coeffs again."""
+        return np.asarray(coeffs)[self._corner_dofs]
 
-    def _values(self, fields, block):
-        """The values of each field at the quadrature points of block."""
-        return [f(block) if callable(f) else self.element_values(f, block) for f in fields]
+    def element_values(self, field, t):
+        """Values at the quadrature points of the type-t elements, (Q, n^d),
+        of a coefficient vector or of its corner grid from `hold`."""
+        grid = field if np.ndim(field) == 2 else self.hold(field)
+        return self._corner_matrices[t] @ grid
+
+    def quad_positions(self, t):
+        """Positions (Q, n^d, d) of the quadrature points of the type-t
+        elements: the field that a callable of position reads."""
+        return np.einsum("qj,ejd->qed", self.quad_points, self.mesh.corners(t))
+
+    def _held(self, fields):
+        """The fields, each coefficient vector replaced by its corner grid."""
+        return [f if callable(f) or np.ndim(f) == 2 else self.hold(f) for f in fields]
+
+    def _values(self, fields, t):
+        """The values of each field at the quadrature points of type t."""
+        return [f(t) if callable(f) else self.element_values(f, t) for f in fields]
 
     def integrate(self, f, *fields):
         """Integral over the torus of f(*values), values those of the fields
         at the quadrature points."""
-        sums = np.empty(len(self.mesh.elements))
-        for block in self.blocks:
-            sums[block] = f(*self._values(fields, block)) @ self.quad_weights
+        fields = self._held(fields)
+        sums = np.empty((len(self.types), self.mesh.dof_count))
+        for t in self.types:
+            np.matmul(self.quad_weights, f(*self._values(fields, t)), out=sums[t])
         # a numpy sum, not a BLAS dot: the same bits at every thread count
         return sums.sum() * self.mesh.volumes[0]
 
     def load_vector(self, f, *fields):
         """Assemble b_i = int f(*values) * phi_i, values those of the fields
         at the quadrature points."""
-        be = np.empty((len(self.mesh.elements), self.mesh.d + 1))
-        for block in self.blocks:
-            values = f(*self._values(fields, block)) * self.quad_weights
-            np.matmul(values, self.quad_points, out=be[block])
-        be *= self.mesh.volumes[0]
+        fields = self._held(fields)
+        # the corner loads (2^d, n^d), summed in type order
+        loads = self._load_matrices[0] @ f(*self._values(fields, 0))
+        for t in self.types[1:]:
+            loads += self._load_matrices[t] @ f(*self._values(fields, t))
         return np.bincount(
-            self.mesh.elements.ravel(), weights=be.ravel(), minlength=self.mesh.dof_count
+            self._corner_dofs.ravel(), weights=loads.ravel(), minlength=self.mesh.dof_count
         )
 
     # -- linear algebra -----------------------------------------------------

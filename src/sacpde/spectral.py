@@ -290,12 +290,14 @@ def _residual(space, y, u, u_prev, rhs0, D, k):
     return D * y + k * fh - rhs0
 
 
-def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
+def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw, energies=None):
     """Per-step energy-balance defect in the truncated space.
 
     Same structure as the element version with the mode cut playing the role
     of the L2 projection; exact to rounding because the collocation grid
-    integrates the quartic terms exactly.  Returns an IdentityCheck.
+    integrates the quartic terms exactly.  energies, if given, is the pair
+    of totals E(c_prev), E(c_next) the trajectory computed.  Returns an
+    IdentityCheck.
     """
     cp = np.asarray(c_prev, dtype=complex)
     cn = np.asarray(c_next, dtype=complex)
@@ -303,9 +305,11 @@ def spectral_energy_identity_residual(space, sigma, c_prev, c_next, k, dw):
     fh = space.to_modes(f_mixed(un, up))
     w = space.eigenvalues * cn + fh
     d = cn - cp
+    if energies is None:
+        energies = spectral_energy(space, cp).total, spectral_energy(space, cn).total
     lhs = (
-        spectral_energy(space, cn).total
-        - spectral_energy(space, cp).total
+        energies[1]
+        - energies[0]
         + 0.5 * float(space.h1_seminorm(d) ** 2)
         + 0.25 * float(space.grid_integral((un * un - up * up) ** 2))
         + k * float(space.l2_norm(w) ** 2)
@@ -348,8 +352,10 @@ class SpectralBackend:
     def energy(self, c):
         return spectral_energy(self.space, c)
 
-    def identity(self, c_prev, c_next, k, dw):
-        return spectral_energy_identity_residual(self.space, self.sigma, c_prev, c_next, k, dw)
+    def identity(self, c_prev, c_next, k, dw, energies=None):
+        return spectral_energy_identity_residual(
+            self.space, self.sigma, c_prev, c_next, k, dw, energies
+        )
 
     def metadata(self):
         return self.space.metadata()

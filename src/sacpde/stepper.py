@@ -154,21 +154,20 @@ def step(space, sigma, cfg, yp, dw):
     M, A = space.mass, space.stiffness
     m_yp = M @ yp
     rhs0 = m_yp + dw * sigma_load(space, sigma, yp)
-    # fields of the kernels: at d = 1 the element values of y_prev are formed
-    # once per step, and those of each iterate once, at its residual
-    zh = space.hold(yp)
 
+    # each kernel call gathers the corner grids of its fields; a y_prev grid
+    # held for the whole step saves one small gather per call, but raised the
+    # peak RSS of repeated d = 2 check studies by about 0.5 MB (2-core host)
     def residual(y):
-        yh = space.hold(y)
-        b = space.load_vector(f_mixed, yh, zh)
-        return M @ y + k * (A @ y + b) - rhs0, yh
+        b = space.load_vector(f_mixed, y, yp)
+        return M @ y + k * (A @ y + b) - rhs0
 
     def trial(y_trial):
-        F_trial, yh_trial = residual(y_trial)
-        return y_trial, F_trial, yh_trial, np.linalg.norm(F_trial)
+        F_trial = residual(y_trial)
+        return y_trial, F_trial, np.linalg.norm(F_trial)
 
-    def form_jacobian(Fv, yh):
-        J = space.system_matrix(k, f_mixed_dy, yh, zh)
+    def form_jacobian(Fv, y):
+        J = space.system_matrix(k, f_mixed_dy, y, yp)
         try:
             return J, _preconditioner(space, k, J)
         except RuntimeError as exc:
@@ -178,7 +177,7 @@ def step(space, sigma, cfg, yp, dw):
     # an overflowing state is reported by the finite guard below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         scale = cfg.newton_tol * (1.0 + np.linalg.norm(m_yp))
-        Fv, yh = residual(y)
+        Fv = residual(y)
         rnorm = np.linalg.norm(Fv)
     if not (np.isfinite(rnorm) and np.isfinite(scale)):
         raise StepFailure("Newton residual or its tolerance is not finite", residual=rnorm)
@@ -195,16 +194,16 @@ def step(space, sigma, cfg, yp, dw):
             )
         if J is not None:
             delta, precond = _solve_linear(precond, J, -Fv)
-            y_trial, F_trial, yh_trial, r_trial = trial(y + delta)
+            y_trial, F_trial, r_trial = trial(y + delta)
             if r_trial <= 0.1 * rnorm or r_trial <= scale:
-                y, Fv, yh, rnorm = y_trial, F_trial, yh_trial, r_trial
+                y, Fv, rnorm = y_trial, F_trial, r_trial
                 iters += 1
                 continue
-        J, precond = form_jacobian(Fv, yh)
+        J, precond = form_jacobian(Fv, y)
         jacobians += 1
         delta, precond = _solve_linear(precond, J, -Fv)
         for halvings in range(DAMPING + 1):
-            y_trial, F_trial, yh_trial, r_trial = trial(y + 0.5**halvings * delta)
+            y_trial, F_trial, r_trial = trial(y + 0.5**halvings * delta)
             if r_trial < rnorm or r_trial <= scale:
                 break
         else:
@@ -213,7 +212,7 @@ def step(space, sigma, cfg, yp, dw):
                 f"(residual {rnorm:.3e}, target {scale:.3e})",
                 residual=rnorm,
             )
-        y, Fv, yh, rnorm = y_trial, F_trial, yh_trial, r_trial
+        y, Fv, rnorm = y_trial, F_trial, r_trial
         iters += 1
         halvings_total += halvings
     # One polishing iteration after the tolerance is met: the energy-identity
@@ -225,10 +224,10 @@ def step(space, sigma, cfg, yp, dw):
     # met the tolerance.
     if rnorm > 0.0:
         if J is None:
-            J, precond = form_jacobian(Fv, yh)
+            J, precond = form_jacobian(Fv, y)
             jacobians += 1
         y_trial = y + _solve_linear(precond, J, -Fv)[0]
-        r_trial = np.linalg.norm(residual(y_trial)[0])
+        r_trial = np.linalg.norm(residual(y_trial))
         if r_trial < rnorm:
             y, rnorm = y_trial, r_trial
             iters += 1
@@ -288,8 +287,10 @@ class FemBackend:
     def energy(self, c):
         return energy(self.space, c)
 
-    def identity(self, c_prev, c_next, k, dw):
-        return energy_identity_residual(self.space, self.sigma, c_prev, c_next, k, dw)
+    def identity(self, c_prev, c_next, k, dw, energies=None):
+        return energy_identity_residual(
+            self.space, self.sigma, c_prev, c_next, k, dw, energies
+        )
 
     def metadata(self):
         return self.space.metadata()
@@ -359,7 +360,7 @@ def run_trajectory(backend, cfg, y0, increments, with_identity=False, where="tra
         }
         row.update((name, values[0].item()) for name, values in counters.items())
         if with_identity:
-            check = backend.identity(y[0], y_new[0], cfg.k, dw)
+            check = backend.identity(y[0], y_new[0], cfg.k, dw, (energies[j - 1], en_new.total))
             row["identity_residual"] = check.residual
             row["identity_lhs"] = check.lhs
             checks.append(check)
@@ -383,7 +384,7 @@ class IdentityCheck:
         return self.residual <= self.threshold
 
 
-def energy_identity_residual(space, sigma, yp, yn, k, dw):
+def energy_identity_residual(space, sigma, yp, yn, k, dw, energies=None):
     """Defect of the exact per-step energy balance.
 
     With w the coefficients of -lap_h Y + proj f_mixed(Y, Y_prev), the scheme
@@ -395,9 +396,14 @@ def energy_identity_residual(space, sigma, yp, yn, k, dw):
     term by term in exact arithmetic, provided every integral is exact for
     degree-4 polynomials.  Returns an IdentityCheck with the absolute defect
     and the threshold max(1e-10, 1e-10 |lhs|) the contract allows.
+
+    energies, if given, is the pair of totals E(Y_prev), E(Y) on space, as
+    the trajectory computed them; they are used when space is exact.
     """
     M, A = space.mass, space.stiffness
-    b = nonlinear_load(space, yn, yp)
+    # corner grids depend on the mesh only, so they serve the exact twin too
+    yph, ynh = space.hold(yp), space.hold(yn)
+    b = nonlinear_load(space, ynh, yph)
     w = space.solve_mass(A @ yn + b)
     d = yn - yp
     # the energy and the quartic dissipation term are always evaluated with
@@ -405,12 +411,14 @@ def energy_identity_residual(space, sigma, yp, yn, k, dw):
     # an inexact rule (mass lumping) telescopes only its own quadrature's
     # energy, so this defect exposes it
     ev = space.exact_twin()
+    if energies is None or ev is not space:
+        energies = energy(ev, yp).total, energy(ev, yn).total
     lhs = (
-        energy(ev, yn).total
-        - energy(ev, yp).total
+        energies[1]
+        - energies[0]
         + 0.5 * (d @ (A @ d))
-        + 0.25 * ev.integrate(lambda qn, qp: (qn * qn - qp * qp) ** 2, yn, yp)
+        + 0.25 * ev.integrate(lambda qn, qp: (qn * qn - qp * qp) ** 2, ynh, yph)
         + k * (w @ (M @ w))
     )
-    rhs = dw * (sigma_load(space, sigma, yp) @ w)
+    rhs = dw * (sigma_load(space, sigma, yph) @ w)
     return IdentityCheck(abs(lhs - rhs), lhs, rhs)

@@ -434,20 +434,23 @@ def test_check_at_half_the_horizon_meets_the_identity(tmp_path, d, n):
 
 
 def test_check_report_is_the_same_at_one_and_two_blas_threads(tmp_path):
-    """The d = 3 check suite writes the same report.json bytes at 1 and 2
-    OpenBLAS threads: its integrals end in a numpy sum, not a BLAS dot of
-    length E, whose split across threads moves the last bits."""
+    """The d = 3 and d = 2 check suites write the same report.json bytes at
+    1 and 2 OpenBLAS threads: the kernels' BLAS products reduce over the
+    quadrature points only, and their integrals end in a numpy sum, not a
+    BLAS dot of length E, whose split across threads moves the last bits."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     run = "import sys; from sacpde.cli import main; sys.exit(main(sys.argv[1:]))"
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = dict(os.environ, PYTHONPATH=src)
-        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
-        argv = ["check", "--d", "3", "--n", "16", "--J", "4", "-o", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-c", run, *argv], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    for d, n in (("3", "16"), ("2", "64")):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / d / threads
+            env = dict(os.environ, PYTHONPATH=src)
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            argv = ["check", "--d", d, "--n", n, "--J", "4", "-o", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-c", run, *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1], f"d = {d}"

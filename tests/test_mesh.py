@@ -99,32 +99,57 @@ def _pattern(*matrices):
     return union.indptr, union.indices
 
 
-# -- all-elements references: the kernels as one pass over every element ----
+# -- all-types references: the kernels' arithmetic, all types at once ------
 
 
 def _all_values(space, coeffs):
-    """Values at every quadrature point, (E, Q)."""
-    return coeffs[space.mesh.elements] @ space.quad_points.T
+    """Values at every quadrature point, (d!, Q, n^d): the corner matrices of
+    all types stacked into one product with the corner grid."""
+    values = np.concatenate(space._corner_matrices) @ space.hold(coeffs)
+    return values.reshape(len(space.types), -1, space.mesh.dof_count)
+
+
+def _type_matrices(space):
+    """The element mass matrix and the d! type stiffness matrices."""
+    vol = space.mesh.volumes[0]
+    grads = space.mesh.grads
+    return space._wjk.sum(axis=0) * vol, np.einsum("tjd,tkd->tjk", grads, grads) * vol
+
+
+def _element_matrices(space, k, weights):
+    """Element matrices (E, d+1, d+1) of M + k(A + W) for weights
+    (d!, Q, n^d), each M_t + k*A_t plus (k vol w_q lam_j lam_k) @ weights,
+    with the elements of type t in rows t*n^d to (t+1)*n^d - 1, as in
+    mesh.elements."""
+    mass, stiff = _type_matrices(space)
+    nl = space.mesh.d + 1
+    wjk = (k * space.mesh.volumes[0]) * space._wjk.reshape(-1, nl * nl).T
+    parts = [(mass + k * a) + (wjk @ w).T.reshape(-1, nl, nl) for a, w in zip(stiff, weights)]
+    return np.concatenate(parts)
 
 
 def _reference_load(space, values):
-    """b_i = int values * phi_i from values (E, Q), by one bincount."""
-    be = (values * space.quad_weights) @ space.quad_points
-    be *= space.mesh.volumes[:, None]
-    return np.bincount(
-        space.mesh.elements.ravel(), weights=be.ravel(), minlength=space.mesh.dof_count
-    )
+    """b_i = int values * phi_i from values (d!, Q, n^d): the corner loads
+    (2^d, n^d), summed in type order, scattered by np.add.at."""
+    loads = sum(weights @ v for weights, v in zip(space._load_matrices, values))
+    b = np.zeros(space.mesh.dof_count)
+    np.add.at(b, space._corner_dofs.ravel(), loads.ravel())
+    return b
 
 
-def _element_data(space, k, weights):
-    """Element matrices of M + k(A + W) for weights (E, Q), (E, d+1, d+1),
-    expanded from the per-type matrices."""
-    vol = space.mesh.volumes[:, None, None]
-    grads = space.mesh.grads
-    stiff = np.repeat(np.einsum("tjd,tkd->tjk", grads, grads), space.mesh.dof_count, axis=0)
-    mass = np.broadcast_to(space._wjk.sum(axis=0), stiff.shape)
-    wdata = np.tensordot(weights, space._wjk, axes=(1, 0)) * vol
-    return mass * vol + k * (stiff * vol + wdata)
+def _reference_system_data(space, k, weights):
+    """Data of M + k(A + W) for weights (d!, Q, n^d), on the cached pattern:
+    per coupling the sum of M_t + k*A_t, then of each type's weighted mass,
+    in type order; scattered by np.add.at in coupling order."""
+    nl2 = (space.mesh.d + 1) ** 2
+    wjk = space._wjk.reshape(-1, nl2).T * (k * space.mesh.volumes[0])
+    coupling = np.empty(space._slot.shape)
+    coupling[:] = (space._mass_coupling + k * space._stiff_coupling)[:, None]
+    for couplings, w in zip(space._couplings, weights):
+        coupling[couplings] += wjk @ w
+    data = np.zeros(len(space._indices))
+    np.add.at(data, space._slot.ravel(), coupling.ravel())
+    return data
 
 
 def _coo_reference(space, data):
@@ -144,7 +169,7 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     to the COO reference assembly: bit for bit at d = 1, where no entry sums
     more than two terms, and to 1e-15 relative where the summation order of
     duplicate entries differs.  load_vector's bincount equals an np.add.at
-    scatter bit for bit."""
+    scatter of the corner loads bit for bit."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     y = l2_project(space, initial_datum("cos", 1.0))
     z = 0.9 * y
@@ -157,7 +182,7 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     indptr, indices = _pattern(space.mass, space.stiffness)
     assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
 
-    ref = _coo_reference(space, _element_data(space, k, w))
+    ref = _coo_reference(space, _element_matrices(space, k, w))
     assert np.array_equal(ref.indptr, indptr) and np.array_equal(ref.indices, indices)
     if d == 1:
         assert np.array_equal(J.data, ref.data)
@@ -172,13 +197,9 @@ def test_system_matrix_sums_into_the_cached_pattern(d, n, lumped):
     with pytest.raises(ValueError):
         other.indptr[-1] = 0
 
-    # load_vector sums in the same element order as an np.add.at scatter
-    values = yq * w
-    be = (values * space.quad_weights) @ space.quad_points * space.mesh.volumes[:, None]
-    scattered = np.zeros(space.mesh.dof_count)
-    np.add.at(scattered, space.mesh.elements, be)
+    # load_vector sums in the same corner order as an np.add.at scatter
     load = space.load_vector(lambda a, b: a * f_mixed_dy(a, b), y, z)
-    assert np.array_equal(load, scattered)
+    assert np.array_equal(load, _reference_load(space, yq * w))
 
 
 @pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
@@ -190,7 +211,10 @@ def test_operators_match_the_coo_assembly(d, n, lumped):
     and to 1e-15 relative at d >= 2, where duplicates sum in another order.
     Both share the pattern's index arrays with every system matrix."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
-    for matrix, data in ((space.mass, space._mass_data), (space.stiffness, space._stiff_data)):
+    mass, stiff = _type_matrices(space)
+    stiff = np.repeat(stiff, space.mesh.dof_count, axis=0)
+    mass = np.broadcast_to(mass, stiff.shape)
+    for matrix, data in ((space.mass, mass), (space.stiffness, stiff)):
         ref = _coo_reference(space, data)
         assert matrix.format == "csc" and matrix.has_canonical_format
         assert np.array_equal(matrix.indptr, ref.indptr)
@@ -206,21 +230,22 @@ def test_operators_match_the_coo_assembly(d, n, lumped):
 @pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
 def test_blocked_kernels_match_the_all_elements_path(d, n, lumped):
-    """Each kernel, run one type block at a time, equals the same kernel as
-    one pass over all elements, bit for bit: element values, integrate,
+    """Each kernel, run one type at a time, equals the same arithmetic done
+    for all types at once, bit for bit: element values, integrate,
     load_vector and system_matrix, on coefficient fields and on held ones."""
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     rng = np.random.default_rng(d)
     y, z = rng.uniform(-2.0, 2.0, (2, space.mesh.dof_count))
     yq, zq = _all_values(space, y), _all_values(space, z)
-    blocked = np.concatenate([space.element_values(y, block) for block in space.blocks])
-    assert np.array_equal(blocked, yq)
-    assert len(space.blocks) == {1: 1, 2: 2, 3: 6}[d]
+    assert len(space.types) == {1: 1, 2: 2, 3: 6}[d]
     held = space.hold(y)
-    assert callable(held) == (d == 1)
+    assert held.shape == (2**d, space.mesh.dof_count)
+    for t in space.types:
+        assert np.array_equal(space.element_values(y, t), yq[t])
+        assert np.array_equal(space.element_values(held, t), yq[t])
 
     quartic = lambda a, b: (a * a - b * b) ** 2
-    ref = (quartic(yq, zq) @ space.quad_weights).sum() * space.mesh.volumes[0]
+    ref = (space.quad_weights @ quartic(yq, zq)).sum() * space.mesh.volumes[0]
     assert space.integrate(quartic, y, z) == ref
     assert space.integrate(quartic, held, space.hold(z)) == ref
 
@@ -232,13 +257,36 @@ def test_blocked_kernels_match_the_all_elements_path(d, n, lumped):
     assert np.array_equal(space.load_vector(f_mixed, held, z), ref)
 
     k = 0.03
-    data = np.bincount(
-        space._slot.ravel(),
-        weights=_element_data(space, k, f_mixed_dy(yq, zq)).ravel(),
-        minlength=len(space._indices),
-    )
+    data = _reference_system_data(space, k, f_mixed_dy(yq, zq))
     for fields in ((y, z), (held, space.hold(z))):
         assert np.array_equal(space.system_matrix(k, f_mixed_dy, *fields).data, data)
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_kernels_evaluate_each_field_once_per_type(monkeypatch, d, n):
+    """integrate, load_vector and system_matrix evaluate each coefficient
+    field, held or not, through element_values once per simplex type; a
+    callable field (quad_positions) is read without it."""
+    space = FemSpace(PeriodicMesh(d, 1.0, n))
+    calls = []
+    element_values = FemSpace.element_values
+    monkeypatch.setattr(
+        FemSpace, "element_values", lambda *args: calls.append(args[2]) or element_values(*args)
+    )
+    rng = np.random.default_rng(d)
+    y, z = rng.uniform(-2.0, 2.0, (2, space.mesh.dof_count))
+    types = list(space.types)
+    for run, fields in (
+        (lambda: space.integrate(lambda a, b: a * b, y, z), 2),
+        (lambda: space.integrate(lambda a: a, space.hold(y)), 1),
+        (lambda: space.load_vector(f_mixed, y, space.hold(z)), 2),
+        (lambda: space.load_vector(make_sigma("sine", 0.5), y), 1),
+        (lambda: space.load_vector(initial_datum("cos", 1.0), space.quad_positions), 0),
+        (lambda: space.system_matrix(0.1, f_mixed_dy, space.hold(y), z), 2),
+    ):
+        calls.clear()
+        run()
+        assert sorted(calls) == sorted(types * fields)
 
 
 _SPECTRUM_CASES = pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
@@ -328,7 +376,8 @@ def test_per_type_evaluation_matches_the_per_element_path(d, n, preset, lumped):
     space = FemSpace(PeriodicMesh(d, 1.0, n), lumped=lumped)
     g = initial_datum(preset, 1.0)
     xq = np.einsum("qj,ejd->eqd", space.quad_points, _element_corners(space.mesh))
-    blocked = np.concatenate([space.quad_positions(block) for block in space.blocks])
+    xq = xq.reshape(len(space.types), n**d, -1, d).swapaxes(1, 2)  # (d!, Q, n^d, d)
+    blocked = np.stack([space.quad_positions(t) for t in space.types])
     assert np.array_equal(blocked, xq)
     ref = _reference_load(space, g(xq))
     assert np.array_equal(space.load_vector(g, space.quad_positions), ref)
@@ -389,6 +438,25 @@ def test_construction_and_step_peak_memory_per_element():
         tracemalloc.stop()
     assert construction <= 400 * elements
     assert one_step <= 300 * elements
+
+
+def test_load_vector_peak_memory_per_dof():
+    """At (d, n) = (3, 16), one load_vector call on two coefficient vectors
+    allocates at most 590 bytes per dof at its peak: the two corner grids,
+    the (2^d, n^d) corner loads and one type's values and temporaries, with
+    no per-element buffer."""
+    space = FemSpace(PeriodicMesh(3, 1.0, 16))
+    y, z = np.random.default_rng(3).uniform(-2.0, 2.0, (2, space.mesh.dof_count))
+    space.load_vector(f_mixed, y, z)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        space.load_vector(f_mixed, y, z)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 590 * space.mesh.dof_count
 
 
 def test_interpolant_norms_match_analytic():

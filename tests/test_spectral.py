@@ -249,3 +249,18 @@ def test_spectral_energy_matches_element_energy():
     space = FemSpace(PeriodicMesh(1, 1.0, 512))
     en_f = fem_energy(space, l2_project(space, initial_datum("cos", 1.0)))
     assert en_s.total == pytest.approx(en_f.total, rel=1e-4)
+
+
+def test_identity_with_the_trajectory_energies_is_bit_identical():
+    """SpectralBackend.identity given the step's two energy totals equals the
+    check that computes them, bit for bit."""
+    sp = SpectralSpace(1.0, 16)
+    backend = SpectralBackend(sp, make_sigma("sine", 0.5))
+    cfg = SchemeConfig(k=0.01)
+    c0 = backend.initial(initial_datum("cos", 1.0))
+    c1 = backend.step(c0[None], np.array([0.05]), cfg)[0][0]
+    totals = backend.energy(c0).total, backend.energy(c1).total
+    computed = backend.identity(c0, c1, cfg.k, 0.05)
+    passed = backend.identity(c0, c1, cfg.k, 0.05, totals)
+    for name in ("residual", "lhs", "rhs", "threshold"):
+        assert getattr(passed, name) == getattr(computed, name)

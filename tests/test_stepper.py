@@ -398,12 +398,12 @@ def test_one_dimensional_step_forms_one_jacobian_per_step(monkeypatch):
 
 
 def test_one_dimensional_step_evaluates_each_state_once(monkeypatch):
-    """At d = 1, where one block covers the mesh, the step forms the element
-    values of y_prev once for the noise load and once held for the whole
-    step, and those of each iterate once, at its residual; the Jacobian
-    reads the held values."""
+    """Each kernel call of the step gathers the corner grid of each of its
+    fields once and evaluates it through element_values once per simplex
+    type, one at d = 1: two fields per residual and Jacobian, y_prev alone
+    for the noise load."""
     space = _space(n=32)
-    counts = dict.fromkeys(("element_values", "load_vector", "system_matrix"), 0)
+    counts = dict.fromkeys(("hold", "element_values", "load_vector", "system_matrix"), 0)
 
     def counting(name, fn):
         def call(*args):
@@ -419,8 +419,30 @@ def test_one_dimensional_step_evaluates_each_state_once(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         y, diag = step(space, make_sigma("sine", 0.5), SchemeConfig(k=0.25 / 64), y, dw)
         # one load vector for the noise, one per residual
-        assert counts["element_values"] == counts["load_vector"] + 1
+        assert counts["hold"] == counts["element_values"]
+        assert counts["element_values"] == 2 * counts["load_vector"] - 1 + 2 * counts["system_matrix"]
         assert counts["system_matrix"] == diag.jacobians >= 1
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["exact", "lumped"])
+@pytest.mark.parametrize("sigma", ["zero", "sine"])
+def test_identity_with_the_trajectory_energies_is_bit_identical(monkeypatch, sigma, lumped):
+    """The identity check given the step's two energy totals equals the check
+    that computes them, bit for bit; an exact space computes no energy for
+    it, and a lumped one computes both on its exact twin."""
+    space = _space(n=16, d=2, lumped=lumped)
+    backend = FemBackend(space, make_sigma(sigma, 0.5))
+    cfg = SchemeConfig(k=0.01)
+    y0 = l2_project(space, initial_datum("cos", 1.0))
+    y1 = backend.step(y0[None], np.array([0.05]), cfg)[0][0]
+    totals = backend.energy(y0).total, backend.energy(y1).total
+    computed = backend.identity(y0, y1, cfg.k, 0.05)
+    energies = []
+    monkeypatch.setattr(stepper, "energy", lambda s, c: energies.append(s) or energy(s, c))
+    passed = backend.identity(y0, y1, cfg.k, 0.05, totals)
+    assert energies == ([space.exact_twin()] * 2 if lumped else [])
+    for name in stepper.IdentityCheck.__slots__:
+        assert getattr(passed, name) == getattr(computed, name)
 
 
 def test_large_steps_form_the_jacobian_again(monkeypatch):
