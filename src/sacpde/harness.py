@@ -19,7 +19,7 @@ from .mesh_fem import FemSpace, PeriodicMesh, l2_project, prolongation_matrix
 from .model import initial_datum, make_sigma
 from .reports import VERSION, config_hash
 from .spectral import SpectralBackend, SpectralSpace
-from .stepper import FemBackend, SchemeConfig, located_step, run_trajectory
+from .stepper import FemBackend, SchemeConfig, march, run_trajectory
 from .stochastic import KEY_MAX, coarsen, mc_accumulate, sample_path, total_displacement
 from . import model
 
@@ -408,26 +408,22 @@ def _coupled_errors(plan, ref, ref_cfg, j_ref, levels):
     dw = np.stack([path.increments for path in paths])
     C = np.tile(ref.initial(x0), (P, 1))
 
-    states, incs, by_time, sum_h1 = [], [], [], []
+    marches, by_time, sum_h1 = [], [], []
     for lv in levels:
-        states.append(np.tile(lv.backend.initial(x0), (P, 1)))
-        incs.append(np.stack([coarsen(path, lv.factor).increments for path in paths]))
+        S = np.tile(lv.backend.initial(x0), (P, 1))
+        inc = np.stack([coarsen(path, lv.factor).increments for path in paths])
+        marches.append(march(lv.backend, S, inc, lv.cfg, f"{plan.kind} level {lv.name}"))
         by_time.append(np.zeros((P, j_ref // lv.factor + 1)))
-        by_time[-1][:, 0] = ref.l2_sq(lv.lifted(states[-1]) - C)
+        by_time[-1][:, 0] = ref.l2_sq(lv.lifted(S) - C)
         sum_h1.append(np.zeros(P))
     sup_l2 = [err[:, 0].copy() for err in by_time]
 
-    for j in range(1, j_ref + 1):
-        C, _ = located_step(ref, C, dw[:, j - 1], ref_cfg, f"{plan.kind} reference", j)
+    for j, C, _ in march(ref, C, dw, ref_cfg, f"{plan.kind} reference"):
         for i, lv in enumerate(levels):
             if j % lv.factor:
                 continue
-            jl = j // lv.factor
-            states[i], _ = located_step(
-                lv.backend, states[i], incs[i][:, jl - 1], lv.cfg,
-                f"{plan.kind} level {lv.name}", jl,
-            )
-            diff = lv.lifted(states[i]) - C
+            jl, S, _ = next(marches[i])
+            diff = lv.lifted(S) - C
             by_time[i][:, jl] = ref.l2_sq(diff)
             np.maximum(sup_l2[i], by_time[i][:, jl], out=sup_l2[i])
             sum_h1[i] += ref.h1_sq(diff)
@@ -562,8 +558,7 @@ def moment_study(plan):
         C = np.tile(backend.initial(x0), (plan.n_paths, 1))
         energies = np.empty((plan.n_paths, J + 1))
         energies[:, 0] = backend.energy(C[0]).total
-        for j in range(1, J + 1):
-            C, _ = located_step(backend, C, inc[:, j - 1], cfg, f"moments level {J}:{n}", j)
+        for j, C, _ in march(backend, C, inc, cfg, f"moments level {J}:{n}"):
             energies[:, j] = [backend.energy(c).total for c in C]
 
         entry = {"J": J, "n": n, "k": k, "moments": {}}
@@ -647,8 +642,7 @@ def increment_study(plan):
         inc = np.stack([p.increments for p in paths])
         C = np.tile(backend.initial(x0), (n_paths, 1))
         snaps = {0: C}
-        for j in range(1, last_idx + 1):
-            C, _ = located_step(backend, C, inc[:, j - 1], cfg, where, j)
+        for j, C, _ in march(backend, C, inc[:, :last_idx], cfg, where):
             if j in wanted:
                 snaps[j] = C
         base = snaps[anchor_idx]

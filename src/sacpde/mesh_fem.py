@@ -114,7 +114,7 @@ class FemSpace:
     Chan & Ng 1996).  The space keeps the spectra m̂ and â of M and A,
     real since both are symmetric, and `fft_solve` solves against any such
     spectrum: `solve_mass` with m̂, and the d = 3 Newton preconditioner of
-    stepper with m̂ + k·â, made once per k and kept in `_preconditioners`.
+    stepper with m̂ + k·â, formed with each Jacobian.
 
     A field is read at the quadrature points through its corner grid:
     `hold(c)`, shape (2^d, n^d), whose row for the cube corner o in {0,1}^d
@@ -204,8 +204,8 @@ class FemSpace:
         self._grid = (mesh.n,) * d
         self.mass_spectrum = self._spectrum(self.mass)
         self.stiffness_spectrum = self._spectrum(self.stiffness)
-        # k -> the Newton preconditioner of stepper at d >= 2, a
-        # LinearOperator that solves M + kA; made and kept by stepper
+        # k -> the Newton preconditioner of stepper at d = 2, a
+        # LinearOperator that solves M + kA by its LU; made and kept by stepper
         self._preconditioners = {}
         self._exact_twin = None
 

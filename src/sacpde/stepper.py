@@ -8,13 +8,14 @@ One step solves, for all test functions phi in the P1 space,
 by a Newton iteration with the exact Jacobian J = M + k(A + W), formed once
 per time step and held: each later update is solved with the held J, and J
 is formed again, at the current iterate, only when a held update does not
-cut the residual tenfold.  Each J is solved by its sparse LU at d = 1, and
-by CG at d >= 2, preconditioned by a solve with the linear part M + kA (its
-LU at d = 2, its FFT spectrum at d = 3), made once per (space, k) and kept
-on the space.  The two-level form of the reaction term gives the scheme a
-per-step energy identity: testing with phi = -lap_h Y + proj f_mixed makes
-every term a perfect difference or a square, so the identity residual is
-rounding-level whenever the nonlinear solve is tight.
+cut the residual tenfold.  Each J is formed with its solver: its sparse LU
+at d = 1, and at d >= 2 the CG preconditioner, a solve with the linear part
+M + kA (its LU at d = 2, made once per (space, k) and kept on the space;
+its FFT spectrum at d = 3, formed with each J).  The two-level form of the
+reaction term gives the scheme a per-step energy identity: testing with
+phi = -lap_h Y + proj f_mixed makes every term a perfect difference or a
+square, so the identity residual is rounding-level whenever the nonlinear
+solve is tight.
 `energy_identity_residual` evaluates exactly that defect and is the core
 structural diagnostic of the package.
 """
@@ -44,8 +45,11 @@ DAMPING = 30
 class SchemeConfig:
     """Time step and Newton tolerance.
 
-    k must be below 1: the implicit step is uniquely solvable there (the
-    two-level reaction term is one-sided Lipschitz with constant 1).
+    k must be below 1, the admissible range; that alone does not make the
+    implicit step uniquely solvable.  The two-level reaction term is
+    one-sided Lipschitz in Y with constant 1/2 + max|Y_prev|^2 / 6, so the
+    step has exactly one solution when k (1/2 + max|Y_prev|^2 / 6) < 1.
+    From the constant state 10 at k = 0.9 it has three.
     """
 
     def __init__(self, k, newton_tol=1e-12):
@@ -72,60 +76,46 @@ class StepDiagnostics:
         self.picard_fallbacks = 0
 
 
-def _preconditioner(space, k, J):
-    """The preconditioner of the Newton system J at time step k, or None.
+def _jacobian_solver(space, k, J):
+    """The solver of the Newton system J at time step k.
 
-    d = 1: None, for a sparse LU of J.  d >= 2: a LinearOperator that solves
-    the linear part M + kA, made at the first call for (space, k) and kept
-    on the space: at d = 2 by its LU_ORDERING LU, whose failure raises
-    RuntimeError, SuperLU's report of a singular factor; at d = 3 by the FFT
-    solve against its spectrum m̂ + k·â.
+    d = 1: the LU_ORDERING SuperLU of J.  d >= 2: the CG preconditioner, a
+    LinearOperator that solves the linear part M + kA: at d = 2 by its
+    LU_ORDERING LU, made at the first J for (space, k) and kept on the
+    space; at d = 3 by the FFT solve against its spectrum m̂ + k·â, formed
+    here.  A failed factorization raises RuntimeError, SuperLU's report of a
+    singular factor.
     """
-    if space.mesh.d == 1:
-        return None
+    d = space.mesh.d
+    if d == 1:
+        return spla.splu(J, permc_spec=LU_ORDERING)
+    if d == 3:
+        spectrum = space.mass_spectrum + k * space.stiffness_spectrum
+        # the dtype spares scipy a probing solve on every new operator
+        return spla.LinearOperator(J.shape, lambda v: space.fft_solve(spectrum, v), dtype=float)
     precond = space._preconditioners.get(k)
     if precond is None:
-        if space.mesh.d == 2:
-            lu = spla.splu((space.mass + k * space.stiffness).tocsc(), permc_spec=LU_ORDERING)
-            solve = lu.solve
-        else:
-            import weakref
-
-            # a weak reference, since the space keeps the operator: a cycle
-            # would hold a finished space's arrays until the next GC pass
-            spectrum = space.mass_spectrum + k * space.stiffness_spectrum
-            space_ref = weakref.ref(space)
-            solve = lambda v: space_ref().fft_solve(spectrum, v)
-        # the dtype spares scipy a probing solve on every new operator
-        precond = space._preconditioners[k] = spla.LinearOperator(J.shape, solve, dtype=float)
+        lu = spla.splu((space.mass + k * space.stiffness).tocsc(), permc_spec=LU_ORDERING)
+        precond = space._preconditioners[k] = spla.LinearOperator(J.shape, lu.solve, dtype=float)
     return precond
 
 
-def _solve_linear(precond, J, rhs):
-    """Solve J x = rhs for the CSC system matrix J; returns x and the
-    `precond` that solves J again.
-
-    precond is None: a sparse LU of J with the LU_ORDERING column ordering,
-    returned as the next precond; a SuperLU of J: a solve by it; otherwise
-    CG to the relative residual 1e-12, preconditioned by `precond`.  There
-    is no fallback: a failed factorization, a CG solve that reports failure
-    or a non-finite solution raises StepFailure, which keeps |rhs|, the
-    Newton residual norm."""
-    if precond is None:
-        try:
-            precond = spla.splu(J, permc_spec=LU_ORDERING)
-        except RuntimeError as exc:  # SuperLU's report of a singular factor
-            raise _solve_failure(exc, rhs) from exc
-    if isinstance(precond, spla.SuperLU):
-        x = precond.solve(rhs)
+def _solve_linear(solver, J, rhs):
+    """Solve J x = rhs for the CSC system matrix J with its solver from
+    `_jacobian_solver`: a SuperLU of J solves directly; a preconditioner
+    runs CG to the relative residual 1e-12.  There is no fallback: a CG
+    solve that reports failure or a non-finite solution raises StepFailure,
+    which keeps |rhs|, the Newton residual norm."""
+    if isinstance(solver, spla.SuperLU):
+        x = solver.solve(rhs)
     else:
         # J is symmetric, and J.T is its CSR view: faster products than CSC, no copy
-        x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=10 * J.shape[0])
+        x, info = spla.cg(J.T, rhs, rtol=1e-12, atol=0.0, M=solver, maxiter=10 * J.shape[0])
         if info != 0:
             raise _solve_failure(f"CG reported info {info}", rhs)
     if not np.all(np.isfinite(x)):
         raise _solve_failure("non-finite Newton update", rhs)
-    return x, precond
+    return x
 
 
 def _solve_failure(reason, rhs):
@@ -143,10 +133,10 @@ def step(space, sigma, cfg, yp, dw):
     update is halved until the residual norm decreases (or meets the
     tolerance).  Once the tolerance is met, one polishing update with the
     held J is kept if it lowers the residual.  Forming J means
-    `system_matrix`, `_preconditioner` and, at d = 1, one LU in
-    `_solve_linear`, through which every update is solved; at d >= 2 the
-    first J at a new k makes the preconditioner, which every later step on
-    the space reuses.
+    `system_matrix` and `_jacobian_solver`, which makes J's solver: one LU
+    of J at d = 1; at d = 2 the first J at a new k makes the
+    preconditioner, which every later step on the space reuses.  Every
+    update is solved by `_solve_linear` with the solver of the held J.
     Non-convergence, a failed linear solve or factorization, or a first
     residual or tolerance that is not finite raises StepFailure.
     """
@@ -169,7 +159,7 @@ def step(space, sigma, cfg, yp, dw):
     def form_jacobian(Fv, y):
         J = space.system_matrix(k, f_mixed_dy, y, yp)
         try:
-            return J, _preconditioner(space, k, J)
+            return J, _jacobian_solver(space, k, J)
         except RuntimeError as exc:
             raise _solve_failure(exc, Fv) from exc
 
@@ -193,15 +183,15 @@ def step(space, sigma, cfg, yp, dw):
                 residual=rnorm,
             )
         if J is not None:
-            delta, precond = _solve_linear(precond, J, -Fv)
+            delta = _solve_linear(solver, J, -Fv)
             y_trial, F_trial, r_trial = trial(y + delta)
             if r_trial <= 0.1 * rnorm or r_trial <= scale:
                 y, Fv, rnorm = y_trial, F_trial, r_trial
                 iters += 1
                 continue
-        J, precond = form_jacobian(Fv, y)
+        J, solver = form_jacobian(Fv, y)
         jacobians += 1
-        delta, precond = _solve_linear(precond, J, -Fv)
+        delta = _solve_linear(solver, J, -Fv)
         for halvings in range(DAMPING + 1):
             y_trial, F_trial, r_trial = trial(y + 0.5**halvings * delta)
             if r_trial < rnorm or r_trial <= scale:
@@ -224,9 +214,9 @@ def step(space, sigma, cfg, yp, dw):
     # met the tolerance.
     if rnorm > 0.0:
         if J is None:
-            J, precond = form_jacobian(Fv, y)
+            J, solver = form_jacobian(Fv, y)
             jacobians += 1
-        y_trial = y + _solve_linear(precond, J, -Fv)[0]
+        y_trial = y + _solve_linear(solver, J, -Fv)
         r_trial = np.linalg.norm(residual(y_trial))
         if r_trial < rnorm:
             y, rnorm = y_trial, r_trial
@@ -313,21 +303,24 @@ class Trajectory:
         self.identity = identity
 
 
-def located_step(backend, C, dw, cfg, where, j, first_path=0):
-    """backend.step(C, dw, cfg), as step j of `where` (a study and its level).
+def march(backend, C, increments, cfg, where, first_path=0):
+    """Step the (P, K) batch C through the (P, J) Brownian increments,
+    yielding (j, states, counters) after each step j = 1..J.
 
     Row i of the batch is path first_path + i, so a StepFailure is raised
-    again naming `where`, the step and the path, with the row's message,
-    residual and row kept.
+    again naming `where` (a study and its level), the step and the path,
+    with the row's message, residual and row kept.
     """
-    try:
-        return backend.step(C, dw, cfg)
-    except StepFailure as exc:
-        raise StepFailure(
-            f"{where}, step {j}, path {first_path + exc.row}: {exc}",
-            residual=exc.residual,
-            row=exc.row,
-        ) from exc
+    for j in range(1, increments.shape[1] + 1):
+        try:
+            C, counters = backend.step(C, increments[:, j - 1], cfg)
+        except StepFailure as exc:
+            raise StepFailure(
+                f"{where}, step {j}, path {first_path + exc.row}: {exc}",
+                residual=exc.residual,
+                row=exc.row,
+            ) from exc
+        yield j, C, counters
 
 
 def run_trajectory(backend, cfg, y0, increments, with_identity=False, where="trajectory", path=0):
@@ -336,7 +329,7 @@ def run_trajectory(backend, cfg, y0, increments, with_identity=False, where="tra
     y0 is a coefficient vector already on the backend's space, e.g.
     `backend.initial(x0)`; the path runs as a one-row batch.  A failed step
     is reported as step j of `where` on `path`, the index of the increments'
-    path (see `located_step`).
+    path (see `march`).
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
@@ -347,8 +340,7 @@ def run_trajectory(backend, cfg, y0, increments, with_identity=False, where="tra
     energies[0] = backend.energy(y[0]).total
     diagnostics = []
     checks = []
-    for j, dw in enumerate(inc, start=1):
-        y_new, counters = located_step(backend, y, inc[j - 1 : j], cfg, where, j, path)
+    for j, y_new, counters in march(backend, y, inc[None, :], cfg, where, path):
         en_new = backend.energy(y_new[0])
         row = {
             "j": j,
@@ -360,7 +352,9 @@ def run_trajectory(backend, cfg, y0, increments, with_identity=False, where="tra
         }
         row.update((name, values[0].item()) for name, values in counters.items())
         if with_identity:
-            check = backend.identity(y[0], y_new[0], cfg.k, dw, (energies[j - 1], en_new.total))
+            check = backend.identity(
+                y[0], y_new[0], cfg.k, inc[j - 1], (energies[j - 1], en_new.total)
+            )
             row["identity_residual"] = check.residual
             row["identity_lhs"] = check.lhs
             checks.append(check)

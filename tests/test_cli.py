@@ -18,7 +18,7 @@ from sacpde.cli import (
     load_config_file,
     main,
 )
-from sacpde.errors import ConfigError
+from sacpde.errors import ConfigError, StepFailure
 from sacpde.harness import ExperimentPlan
 
 
@@ -317,18 +317,49 @@ def test_overflowing_state_is_a_step_failure(tmp_path, capsys, recwarn, argv, qu
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
-def test_step_failure_names_the_study_step_and_path(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv,backend,call,prefix",
+    [
+        (["rate-space", "--levels", "8,16", "--reference", "64", "--J", "8",
+          "--n-paths", "2"], None, None, "rate-space reference, step 1, path 0: "),
+        # the level J=8 steps once every 8 reference steps: its step 2 is
+        # batch call 18, after reference step 16
+        (["rate-time", "--spectral-modes", "8", "--j-fine", "64", "--levels", "8",
+          "--n-paths", "2"], "spectral", 18, "rate-time level J=8, step 2, path 1: "),
+        # level 4:4 takes calls 1-4, level 8:8 calls 5-12
+        (["moments", "--levels", "4:4,8:8", "--n-paths", "2"], "fem", 7,
+         "moments level 8:8, step 3, path 1: "),
+        (["increments", "--spectral-modes", "8", "--j-fine", "64", "--n-paths", "2",
+          "--taus", "0.0625,0.03125"], "spectral", 5, "increments, step 5, path 1: "),
+    ],
+    ids=["reference", "level", "moments", "increments"],
+)
+def test_step_failure_names_the_study_step_and_path(monkeypatch, capsys, argv, backend, call,
+                                                    prefix):
     """A StepFailure inside a study reaches the JSON record with the study,
-    the level (here the reference), the step, the path and the residual."""
-    monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 0)
-    rc = main(["rate-space", "--levels", "8,16", "--reference", "64", "--J", "8",
-               "--n-paths", "2"])
+    the level, that level's own step, the path and the residual.  The
+    reference case fails in Newton; the others force batch call `call` of
+    the backend's step to fail in row 1."""
+    if backend is None:
+        monkeypatch.setattr(stepper, "NEWTON_MAX_ITER", 0)
+    else:
+        cls = stepper.FemBackend if backend == "fem" else spectral.SpectralBackend
+        batch_step, calls = cls.step, []
+
+        def failing_step(self, C, dw, cfg):
+            calls.append(1)
+            if len(calls) == call:
+                raise StepFailure("forced (batch row 1)", residual=0.5, row=1)
+            return batch_step(self, C, dw, cfg)
+
+        monkeypatch.setattr(cls, "step", failing_step)
+    rc = main(argv)
     assert rc == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["error"] == "StepFailure"
-    assert payload["message"].startswith("rate-space reference, step 1, path 0: ")
+    assert payload["message"].startswith(prefix)
     assert payload["residual"] > 0
 
 

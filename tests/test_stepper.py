@@ -12,7 +12,7 @@ from sacpde import stepper
 from sacpde.errors import StepFailure, ValidationError
 from sacpde.mesh_fem import FemSpace, PeriodicMesh, l2_project
 from sacpde.model import energy, initial_datum, make_sigma
-from sacpde.spectral import SpectralSpace, step_batch
+from sacpde.spectral import SpectralBackend, SpectralSpace, step_batch
 from sacpde.stepper import (
     IDENTITY_ATOL,
     IDENTITY_RTOL,
@@ -463,6 +463,25 @@ def test_large_steps_form_the_jacobian_again(monkeypatch):
     assert max(check.residual for check in traj.identity) <= 1e-10
 
 
+@pytest.mark.parametrize("solver", ["fem", "spectral"])
+def test_a_step_with_three_solutions_reaches_the_root_nearest_one(solver):
+    """From the constant state z with sigma = 0 the step is the scalar cubic
+    y - z + (k/2)(y^2 - 1)(y + z) = 0, which has three real roots at z = 10,
+    k = 0.9 (k < 1 does not make the step unique).  Both Newton solvers,
+    starting from z, reach the root 1.6139."""
+    z, k = 10.0, 0.9
+    roots = np.sort(np.roots([k / 2, k * z / 2, 1 - k / 2, -(k * z / 2 + z)]).real)
+    np.testing.assert_allclose(roots, [-9.5157, -2.0982, 1.6139], atol=1e-4)
+    if solver == "fem":
+        backend = FemBackend(_space(n=16), ZERO)
+    else:
+        backend = SpectralBackend(SpectralSpace(1.0, 8), ZERO)
+    y0 = backend.initial(initial_datum(f"constant:{z}", 1.0))
+    C, _ = backend.step(y0[None, :], np.zeros(1), SchemeConfig(k=k))
+    values = C[0] if solver == "fem" else backend.space.to_grid(C[0])
+    np.testing.assert_allclose(values, roots[2], rtol=0.0, atol=1e-11)
+
+
 def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
     """At d = 2 every Newton system is solved by CG, preconditioned by one LU
     of M + kA per (space, k): backends on one space share it, and another k
@@ -482,11 +501,11 @@ def test_two_dimensional_newton_factorizes_once_per_space_and_k(monkeypatch):
     assert sorted(space._preconditioners) == [0.01, 0.02]
 
 
-def test_three_dimensional_newton_makes_one_spectrum_per_space_and_k(monkeypatch):
+def test_three_dimensional_newton_forms_its_spectrum_with_each_jacobian(monkeypatch):
     """At d = 3 every Newton system is solved by CG, preconditioned by the
-    FFT solve against the spectrum m̂ + k·â of M + kA, one operator per
-    (space, k): backends on one space share it, another k makes one more,
-    and no sparse LU is made."""
+    FFT solve against the spectrum m̂ + k·â of M + kA at its own k, formed
+    with each Jacobian: nothing is kept on the space, and no sparse LU is
+    made."""
     space = _space(n=8, d=3)
     y0 = l2_project(space, initial_datum("cos", 1.0))
     inc = sample_path(1, 0, T=0.05, j_fine=5).increments
@@ -497,19 +516,17 @@ def test_three_dimensional_newton_makes_one_spectrum_per_space_and_k(monkeypatch
     monkeypatch.setattr(
         space, "fft_solve", lambda spectrum, v: used.append(spectrum) or fft_solve(spectrum, v)
     )
-    run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.01), y0, np.zeros(5))
-    first = space._preconditioners[0.01]
-    run_trajectory(FemBackend(space, make_sigma("sine", 0.5)), SchemeConfig(k=0.01), y0, inc)
-    assert space._preconditioners[0.01] is first
-    run_trajectory(FemBackend(space, ZERO), SchemeConfig(k=0.02), y0, np.zeros(5))
+    for k, sig, dw in [(0.01, ZERO, np.zeros(5)), (0.02, make_sigma("sine", 0.5), inc)]:
+        start = len(used)
+        traj = run_trajectory(FemBackend(space, sig), SchemeConfig(k=k), y0, dw)
+        expected = space.mass_spectrum + k * space.stiffness_spectrum
+        assert all(np.array_equal(s, expected) for s in used[start:])
+        # `used` keeps every spectrum alive, so distinct arrays have distinct ids
+        spectra = {id(s) for s in used[start:]}
+        assert len(spectra) == sum(row["jacobians"] for row in traj.diagnostics) >= 5
     assert splu == []
-    assert len(cg) >= 15  # at least one Newton iteration in each of the 15 steps
-    assert sorted(space._preconditioners) == [0.01, 0.02]
-    # `used` keeps every spectrum alive, so distinct arrays have distinct ids
-    spectra = {id(s): s for s in used}
-    assert len(spectra) == 2
-    expected = [space.mass_spectrum + k * space.stiffness_spectrum for k in (0.01, 0.02)]
-    assert [sum(np.array_equal(s, e) for s in spectra.values()) for e in expected] == [1, 1]
+    assert len(cg) >= 10  # at least one Newton iteration in each of the 10 steps
+    assert space._preconditioners == {}
 
 
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
@@ -539,7 +556,10 @@ def test_two_dimensional_step_agrees_with_the_direct_solve(monkeypatch):
     cfg = SchemeConfig(k=0.01)
     y0 = l2_project(space, initial_datum("cos", 1.0))
     y_cg, diag_cg = step(space, sig, cfg, y0, 0.05)
-    monkeypatch.setattr(stepper, "_preconditioner", lambda space, k, J: None)
+    monkeypatch.setattr(
+        stepper, "_jacobian_solver",
+        lambda space, k, J: stepper.spla.splu(J, permc_spec=stepper.LU_ORDERING),
+    )
     splu = _counting(monkeypatch, "splu")
     y_lu, diag_lu = step(space, sig, cfg, y0, 0.05)
     assert len(splu) == diag_lu.jacobians >= 1  # one LU per Jacobian formed
