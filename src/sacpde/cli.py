@@ -190,9 +190,21 @@ def build_plan(kind, config_path=None, flag_values=None):
     cfg.update(KIND_DEFAULTS.get(kind, {}))
     if config_path:
         cfg.update(load_config_file(config_path, kind))
+    # a flag that does not parse keeps its earlier value, so the plan's own
+    # problems are listed with it
+    issues = []
     for key, raw in (flag_values or {}).items():
-        cfg[key] = _parse_value(key, raw, kind, "--" + key.replace("_", "-"))
-    return ExperimentPlan(kind=kind, **cfg).validate()
+        try:
+            cfg[key] = _parse_value(key, raw, kind, "--" + key.replace("_", "-"))
+        except ConfigError as exc:
+            issues.append(str(exc))
+    try:
+        plan = ExperimentPlan(kind=kind, **cfg).validate()
+    except ValidationError as exc:
+        issues.append(str(exc))
+    if issues:
+        raise ConfigError("\n".join(issues))
+    return plan
 
 
 _RUNNERS = {

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sacpde import cli, spectral, stepper
+from sacpde import cli, mesh_fem, spectral, stepper
 from sacpde.cli import (
     KIND_DEFAULTS,
     SCHEMA,
@@ -147,9 +147,9 @@ def test_bad_flag_value_exits_two(capsys):
         (["simulate", "--x0", "constant:inf"], ["constant initial datum must be finite"]),
         (
             ["simulate", "--T", "2", "--J", "1", "--R", "-1", "--newton-tol", "-1",
-             "--n", "1", "--sigma", "foo"],
+             "--n", "1", "--sigma", "foo", "--lumped", "maybe"],
             ["must be below 1", "R must be", "newton_tol must", "n must be >= 2",
-             "sigma must be one of"],
+             "sigma must be one of", "--lumped: bad value for lumped: 'maybe' (expected true/false)"],
         ),
     ],
     ids=[
@@ -413,21 +413,82 @@ def _csv_column(path, name):
     return [float(line.split(",")[col]) for line in lines[1:]]
 
 
+# a far-off constant state with strong noise at k = 0.9
+_DAMPING_RUN = [
+    "simulate", "--d", "1", "--n", "16", "--R", "1", "--T", "3.6", "--J", "4",
+    "--x0", "constant:10", "--sigma-amplitude", "5", "--seed", "1", "--with-identity", "true",
+]
+
+
+def _failure_record(capsys):
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 def test_fem_simulate_reaches_damping(tmp_path):
-    """A far-off constant state with strong noise at k = 0.9 needs halved
-    Newton updates; the run still meets the identity, and diagnostics.csv
-    reports the halvings and the Jacobians formed in each step."""
-    rc = main([
-        "simulate", "--d", "1", "--n", "16", "--R", "1", "--T", "3.6", "--J", "4",
-        "--x0", "constant:10", "--sigma-amplitude", "5", "--seed", "1",
-        "--with-identity", "true", "-o", str(tmp_path / "run"),
-    ])
+    """The damping run needs halved Newton updates; it still meets the
+    identity, and diagnostics.csv reports the halvings and the Jacobians
+    formed in each step."""
+    rc = main(_DAMPING_RUN + ["-o", str(tmp_path / "run")])
     assert rc == 0
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["identity"]["passed"] is True
     csv = tmp_path / "run" / "diagnostics.csv"
     assert sum(_csv_column(csv, "damping_halvings")) > 0
     assert min(_csv_column(csv, "jacobians")) >= 1
+
+
+@pytest.mark.parametrize(
+    "solver,message",
+    [
+        ([], "simulate, step 3, path 0: Newton stalled with full damping after 3 iterations"),
+        (["--solver", "spectral", "--spectral-modes", "12"],
+         "simulate, step 3, path 0: spectral Newton stalled with full damping (batch row 0"),
+    ],
+    ids=["fem", "spectral"],
+)
+def test_newton_without_halvings_stalls_on_the_damping_run(monkeypatch, capsys, solver, message):
+    """With no halving allowed, the damping run's Newton stalls: one JSON
+    record, exit 1, naming the study, the step and the path."""
+    monkeypatch.setattr(stepper, "DAMPING", 0)
+    assert main(_DAMPING_RUN + solver) == 1
+    payload = _failure_record(capsys)
+    assert payload["error"] == "StepFailure"
+    assert payload["message"].startswith(message)
+    assert payload["residual"] > 0
+
+
+def test_spectral_inner_cap_hands_open_rows_to_the_dense_solve(monkeypatch, tmp_path):
+    """Rows that are still open when the inner sweeps reach their cap are
+    solved densely; the spectral damping run then takes more dense solves
+    and still meets the identity."""
+    dense = []
+    linsolve = spectral._dense_linsolve
+    monkeypatch.setattr(
+        spectral, "_dense_linsolve", lambda *args: dense.append(1) or linsolve(*args)
+    )
+    argv = _DAMPING_RUN + ["--solver", "spectral", "--spectral-modes", "12"]
+    assert main(argv + ["-o", str(tmp_path / "default")]) == 0
+    uncapped = len(dense)
+    monkeypatch.setattr(spectral, "_INNER_CAP", 1)
+    assert main(argv + ["-o", str(tmp_path / "capped")]) == 0
+    capped = len(dense) - uncapped
+    assert capped > uncapped
+    report = json.loads((tmp_path / "capped" / "report.json").read_text())
+    assert report["identity"]["passed"] is True
+
+
+def test_mass_solve_over_its_contract_is_a_json_failure(monkeypatch, capsys):
+    """A mass solve whose residual misses MASS_SOLVE_RTOL ends the study in
+    one SolverError record, exit 1, with no residual."""
+    monkeypatch.setattr(mesh_fem, "MASS_SOLVE_RTOL", 0.0)
+    assert main(["simulate", "--n", "16", "--J", "4", "--T", "0.02"]) == 1
+    payload = _failure_record(capsys)
+    assert payload["error"] == "SolverError"
+    assert "mass solve residual" in payload["message"]
+    assert "exceeds contract" in payload["message"]
+    assert payload["residual"] is None
 
 
 def test_spectral_simulate_reaches_the_dense_solve(monkeypatch, tmp_path):

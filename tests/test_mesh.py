@@ -27,22 +27,22 @@ def test_mesh_counts_1d():
     mesh = PeriodicMesh(1, 1.0, 4)
     assert mesh.dof_count == 4
     assert len(mesh.elements) == 4
-    np.testing.assert_allclose(mesh.volumes, 0.25)
+    assert mesh.volume == pytest.approx(0.25)
 
 
 def test_mesh_counts_2d():
     mesh = PeriodicMesh(2, 1.0, 2)
     assert mesh.dof_count == 4
     assert len(mesh.elements) == 8
-    np.testing.assert_allclose(mesh.volumes, 0.125)
-    assert mesh.volumes.sum() == pytest.approx(1.0)
+    assert mesh.volume == pytest.approx(0.125)
+    assert len(mesh.elements) * mesh.volume == pytest.approx(1.0)
 
 
 def test_mesh_counts_3d():
     mesh = PeriodicMesh(3, 2.0, 2)
     assert mesh.dof_count == 8
     assert len(mesh.elements) == 48
-    assert mesh.volumes.sum() == pytest.approx(8.0)
+    assert len(mesh.elements) * mesh.volume == pytest.approx(8.0)
 
 
 def test_mesh_validation():
@@ -111,7 +111,7 @@ def _all_values(space, coeffs):
 
 def _type_matrices(space):
     """The element mass matrix and the d! type stiffness matrices."""
-    vol = space.mesh.volumes[0]
+    vol = space.mesh.volume
     grads = space.mesh.grads
     return space._wjk.sum(axis=0) * vol, np.einsum("tjd,tkd->tjk", grads, grads) * vol
 
@@ -123,7 +123,7 @@ def _element_matrices(space, k, weights):
     mesh.elements."""
     mass, stiff = _type_matrices(space)
     nl = space.mesh.d + 1
-    wjk = (k * space.mesh.volumes[0]) * space._wjk.reshape(-1, nl * nl).T
+    wjk = (k * space.mesh.volume) * space._wjk.reshape(-1, nl * nl).T
     parts = [(mass + k * a) + (wjk @ w).T.reshape(-1, nl, nl) for a, w in zip(stiff, weights)]
     return np.concatenate(parts)
 
@@ -142,7 +142,7 @@ def _reference_system_data(space, k, weights):
     per coupling the sum of M_t + k*A_t, then of each type's weighted mass,
     in type order; scattered by np.add.at in coupling order."""
     nl2 = (space.mesh.d + 1) ** 2
-    wjk = space._wjk.reshape(-1, nl2).T * (k * space.mesh.volumes[0])
+    wjk = space._wjk.reshape(-1, nl2).T * (k * space.mesh.volume)
     coupling = np.empty(space._slot.shape)
     coupling[:] = (space._mass_coupling + k * space._stiff_coupling)[:, None]
     for couplings, w in zip(space._couplings, weights):
@@ -245,7 +245,7 @@ def test_blocked_kernels_match_the_all_elements_path(d, n, lumped):
         assert np.array_equal(space.element_values(held, t), yq[t])
 
     quartic = lambda a, b: (a * a - b * b) ** 2
-    ref = (space.quad_weights @ quartic(yq, zq)).sum() * space.mesh.volumes[0]
+    ref = (space.quad_weights @ quartic(yq, zq)).sum() * space.mesh.volume
     assert space.integrate(quartic, y, z) == ref
     assert space.integrate(quartic, held, space.hold(z)) == ref
 
@@ -525,10 +525,63 @@ def test_prolongation_composition_matches_direct():
 
 
 def test_prolongation_rejects_non_dyadic():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="power of two"):
         prolongation_matrix(PeriodicMesh(1, 1.0, 4), PeriodicMesh(1, 1.0, 12))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="same torus"):
         prolongation_matrix(PeriodicMesh(1, 1.0, 4), PeriodicMesh(1, 2.0, 8))
+    with pytest.raises(ValidationError, match="fine n=6 is not a multiple of coarse n=4"):
+        prolongation_matrix(PeriodicMesh(1, 1.0, 4), PeriodicMesh(1, 1.0, 6))
+
+
+def _path_dofs(cells, axis_order, n):
+    """Dof indices of the path simplex with given corner cells and axis order.
+
+    cells: (B, d) integer lower corners; axis_order: (B, d) axis visited at
+    each step.  Returns (B, d+1) raveled periodic dof indices.
+    """
+    B, d = cells.shape
+    g = np.repeat(cells[:, None, :], d + 1, axis=1)
+    step = np.zeros((B, d + 1, d), dtype=np.int64)
+    rows = np.arange(B)[:, None]
+    for m in range(d):
+        step[rows, m + 1, axis_order[:, m : m + 1]] = 1
+    g = g + np.cumsum(step, axis=1)
+    return np.ravel_multi_index(tuple(np.moveaxis(g % n, -1, 0)), (n,) * d)
+
+
+def _path_simplex_prolongation(coarse_mesh, fine_mesh):
+    """Reference prolongation that builds each fine vertex's coarse simplex
+    from its cell and axis order by `_path_dofs`, without the element table."""
+    d, nc, nf = coarse_mesh.d, coarse_mesh.n, fine_mesh.n
+    r = nf // nc
+    fine_idx = np.indices((nf,) * d).reshape(d, -1).T
+    cells = fine_idx // r
+    t = (fine_idx % r) / r
+    order = np.argsort(-t, axis=1, kind="stable")
+    s = np.take_along_axis(t, order, axis=1)
+    lam = np.empty((len(fine_idx), d + 1))
+    lam[:, 0] = 1.0 - s[:, 0]
+    for m in range(1, d):
+        lam[:, m] = s[:, m - 1] - s[:, m]
+    lam[:, d] = s[:, d - 1]
+    dofs = _path_dofs(cells, order, nc)
+    rows = np.repeat(np.arange(len(fine_idx)), d + 1)
+    mask = lam.ravel() != 0.0
+    P = sp.coo_matrix((lam.ravel()[mask], (rows[mask], dofs.ravel()[mask])), shape=(nf**d, nc**d))
+    return P.tocsr()
+
+
+@pytest.mark.parametrize(
+    "d,nc,nf", [(1, 8, 64), (1, 2, 8), (2, 4, 32), (2, 2, 16), (2, 8, 8), (3, 4, 16), (3, 2, 8)]
+)
+def test_prolongation_reads_the_element_table_bit_for_bit(d, nc, nf):
+    """Reading each fine vertex's coarse simplex from the element table
+    gives the same matrix, bit for bit, as building the path simplex."""
+    coarse, fine = PeriodicMesh(d, 1.0, nc), PeriodicMesh(d, 1.0, nf)
+    P = prolongation_matrix(coarse, fine)
+    ref = _path_simplex_prolongation(coarse, fine)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(P, name), getattr(ref, name), strict=True)
 
 
 def test_lumped_space_has_diagonal_mass():
